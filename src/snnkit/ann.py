@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import network
 from .errors import CalibrationError, ConfigurationError, ContractViolation, NumericalError, TrainingError
-from .network import AvgPool, Conv, Dropout, NetworkSpec
+from .errors import require, require_count
+from .network import NetworkSpec
 from .neuron import LayerParams, NeuronState, lif_step
 
 
@@ -26,7 +27,6 @@ class AnnParams:
     """Trained bias-free weights, one tensor per weighted layer."""
 
     weights: list
-    dropout_rates: tuple = ()
 
 
 @dataclass
@@ -39,10 +39,11 @@ class CalibrationConfig:
     calib_encoding: str = "direct"
 
     def __post_init__(self):
-        if not 0.0 < self.percentile <= 100.0:
-            raise ConfigurationError(f"percentile must lie in (0,100], got {self.percentile}")
-        if not self.scaling > 0:
-            raise ConfigurationError(f"threshold scaling must be positive, got {self.scaling}")
+        require_count("calibration.num_images", self.num_images)
+        require_count("calibration.calib_timesteps", self.calib_timesteps)
+        require("calibration.percentile", self.percentile, 0 < self.percentile <= 100, "in (0, 100]")
+        require("calibration.scaling", self.scaling, self.scaling > 0, "positive")
+        require("calibration.calib_leak", self.calib_leak, 0 <= self.calib_leak <= 1, "in [0, 1]")
 
 
 @dataclass
@@ -51,6 +52,12 @@ class AnnTrainConfig:
     base_lr: float = 0.01
     batch_size: int = 64
     momentum: float = 0.9
+
+    def __post_init__(self):
+        require_count("ann_train.epochs", self.epochs)
+        require_count("ann_train.batch_size", self.batch_size)
+        require("ann_train.base_lr", self.base_lr, self.base_lr > 0, "positive")
+        require("ann_train.momentum", self.momentum, 0 <= self.momentum < 1, "in [0, 1)")
 
 
 def default_lr_schedule(epochs: int, base_lr: float = 0.01):
@@ -74,73 +81,33 @@ def init_ann(spec: NetworkSpec, rng: np.random.Generator) -> AnnParams:
         fan_in = int(np.prod(shape[1:]))
         limit = math.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-limit, limit, size=shape).astype(np.float32))
-    dropout = tuple(l.rate for l in spec.layers if isinstance(l, Dropout))
-    return AnnParams(weights=weights, dropout_rates=dropout)
+    return AnnParams(weights=weights)
 
 
 def ann_forward(spec: NetworkSpec, weights: list, x: np.ndarray, train: bool = False, rng=None):
     """ReLU network forward pass; returns logits and the backward cache."""
-    batch = x.shape[0]
-    cache = []
-    widx = spec.weighted_indices()
-    feature = spec.feature_shapes()
-    w_i = 0
-    for li, layer in enumerate(spec.layers):
-        if isinstance(layer, AvgPool):
-            cache.append(("pool", layer.window))
-            x = numerics.avgpool2d(x, layer.window)
-        elif isinstance(layer, Dropout):
-            if train and layer.rate > 0.0:
-                mask = (rng.random(x.shape) >= layer.rate).astype(x.dtype)
-                x = x * mask / (1.0 - layer.rate)
-                cache.append(("dropout", mask, layer.rate))
-            else:
-                cache.append(("dropout", None, layer.rate))
-        elif isinstance(layer, Conv):
-            cols = numerics.im2col(x, layer.kernel, layer.stride, layer.padding)
-            pre = numerics.conv_from_cols(weights[w_i], cols, feature[li][1:])
-            out = np.maximum(pre, 0.0)
-            cache.append(("conv", x.shape, cols, pre > 0, layer))
-            x = out
-            w_i += 1
-        else:
-            flat = x.reshape(batch, -1)
-            pre = flat @ weights[w_i].T
-            last = li == widx[-1]
-            cache.append(("fc", x.shape, flat, None if last else pre > 0))
-            x = pre if last else np.maximum(pre, 0.0)
-            w_i += 1
-    return x, cache
+    masks = network.sample_dropout_masks(spec, len(x), rng, np.result_type(x, *weights)) if train else None
+    unfolded, active = [], []
+    for i, stage in enumerate(spec.stages):
+        cols = network.unfold(stage, network.apply_pre(stage, x, masks))
+        pre = network.current(stage, weights[i], cols)
+        unfolded.append(cols)
+        if i == len(weights) - 1:
+            return pre, (masks, unfolded, active)
+        active.append(pre > 0)
+        x = np.maximum(pre, 0.0)
 
 
-def ann_backward(spec: NetworkSpec, weights: list, cache: list, dlogits: np.ndarray):
+def ann_backward(spec: NetworkSpec, weights: list, cache, dlogits: np.ndarray):
     """Hand-coded backward pass; returns one gradient per weighted layer."""
+    masks, unfolded, active = cache
     grads = [None] * len(weights)
-    w_i = len(weights)
     d = dlogits
-    for entry in reversed(cache):
-        kind = entry[0]
-        if kind == "pool":
-            d = numerics.avgpool2d_input_grad(d, entry[1])
-        elif kind == "dropout":
-            mask, rate = entry[1], entry[2]
-            if mask is not None:
-                d = d * mask / (1.0 - rate)
-        elif kind == "conv":
-            _, in_shape, cols, relu_mask, layer = entry
-            w_i -= 1
-            d = d * relu_mask
-            b, co = d.shape[0], d.shape[1]
-            dmat = np.einsum("bol,bil->oi", d.reshape(b, co, -1), cols)
-            grads[w_i] = dmat.reshape(weights[w_i].shape)
-            d = numerics.conv2d_input_grad(d, weights[w_i], in_shape, layer.stride, layer.padding)
-        else:
-            _, in_shape, flat, relu_mask = entry
-            w_i -= 1
-            if relu_mask is not None:
-                d = d * relu_mask
-            grads[w_i] = d.T @ flat
-            d = (d @ weights[w_i]).reshape(in_shape)
+    for i in range(len(weights) - 1, -1, -1):
+        stage = spec.stages[i]
+        grads[i] = network.weight_grad(stage, d, unfolded[i])
+        if i:  # nothing reads the first layer's input adjoint
+            d = network.pre_adjoint(stage, network.input_adjoint(stage, weights[i], d), masks) * active[i - 1]
     return grads
 
 
@@ -262,56 +229,36 @@ class _TopCollector:
         return float(self._pending[0].min())
 
 
-def _simulate_layer_inputs(spec, weights, thresholds, upto, images, cfg, chunk=64):
-    """Yield the per-timestep input currents arriving at weighted layer ``upto``.
-
-    Layers before ``upto`` run as standard multi-spike LIF neurons with the
-    already-calibrated thresholds and unit leak, driven by direct encoding.
-    """
-    widx = spec.weighted_indices()
-    feature = spec.feature_shapes()
-    for s in range(0, len(images), chunk):
-        x0 = images[s : s + chunk]
-        batch = len(x0)
-        states = [NeuronState.zeros((batch,) + feature[widx[i]]) for i in range(upto)]
-        prev = [np.zeros_like(st.membrane) for st in states]
-        for _ in range(cfg.calib_timesteps):
-            x = x0
-            w_i = 0
-            for li, layer in enumerate(spec.layers):
-                if isinstance(layer, AvgPool):
-                    x = numerics.avgpool2d(x, layer.window)
-                    continue
-                if isinstance(layer, Dropout):
-                    continue  # inactive outside training
-                if isinstance(layer, Conv):
-                    current = numerics.conv2d(x, weights[w_i], layer.stride, layer.padding)
-                else:
-                    current = x.reshape(batch, -1) @ weights[w_i].T
-                if w_i == upto:
-                    yield current
-                    break
-                p = LayerParams(weights[w_i], thresholds[w_i], cfg.calib_leak)
-                states[w_i], spikes = lif_step(states[w_i], p, current, prev[w_i])
-                prev[w_i] = spikes
-                x = spikes
-                w_i += 1
-
-
 def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.ndarray, cfg: CalibrationConfig):
-    """Sequential front-to-back percentile calibration of per-layer thresholds."""
+    """Sequential front-to-back percentile calibration of per-layer thresholds.
+
+    Layer l's threshold is the percentile of the input currents it receives
+    while layers 0..l-1 run as standard multi-spike LIF neurons with their
+    already-calibrated thresholds and ``cfg.calib_leak``, all driven by
+    direct encoding for ``cfg.calib_timesteps`` steps.
+    """
     if len(sample_images) != cfg.num_images:
         raise ConfigurationError(
             f"calibration expects {cfg.num_images} sample images, got {len(sample_images)}"
         )
-    widx = spec.weighted_indices()
+    stages = spec.stages
     counts = spec.neuron_counts()
+    chunk = 64  # images simulated together
     thresholds = []
-    for l in range(len(widx)):
-        total = counts[l] * len(sample_images) * cfg.calib_timesteps
-        collector = _TopCollector(total, cfg.percentile)
-        for current in _simulate_layer_inputs(spec, ann.weights, thresholds, l, sample_images, cfg):
-            collector.add(current)
+    for l, target in enumerate(stages):
+        below = [LayerParams(w, v, cfg.calib_leak) for w, v in zip(ann.weights, thresholds)]
+        collector = _TopCollector(counts[l] * len(sample_images) * cfg.calib_timesteps, cfg.percentile)
+        for s in range(0, len(sample_images), chunk):
+            x0 = sample_images[s : s + chunk]
+            states = [NeuronState.zeros((len(x0),) + stage.out_shape) for stage in stages[:l]]
+            spikes = [np.zeros_like(state.membrane) for state in states]
+            for _ in range(cfg.calib_timesteps):
+                x = x0
+                for i, p in enumerate(below):
+                    x = network.apply_pre(stages[i], x, None)
+                    states[i], spikes[i] = lif_step(states[i], p, network.input_current(stages[i], p.weights, x), spikes[i])
+                    x = spikes[i]
+                collector.add(network.input_current(target, ann.weights[l], network.apply_pre(target, x, None)))
         value = collector.result()
         if not value > 0:
             raise CalibrationError(

@@ -130,8 +130,6 @@ class RunReport:
     energy: EnergyReport | None = None
     wall_clock_s: dict = field(default_factory=dict)
 
-    TIMING_FIELDS = ("wall_clock_s",)
-
     def to_dict(self) -> dict:
         d = {
             "config": self.config,

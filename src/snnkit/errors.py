@@ -3,6 +3,8 @@
 Each error class carries the process exit code the CLI maps it to.
 """
 
+import numbers
+
 
 class SnnkitError(Exception):
     """Base class for every error raised by this package."""
@@ -52,3 +54,15 @@ class EmissionError(SnnkitError):
     """Report or artifact files could not be written."""
 
     exit_code = 5
+
+
+def require(name: str, value, ok: bool, expected: str):
+    """Raise ConfigurationError naming the field and its value unless ``ok``."""
+    if not ok:
+        raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+
+
+def require_count(name: str, value, minimum: int = 1):
+    """Raise ConfigurationError unless ``value`` is an integer of at least ``minimum``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    require(name, value, integral and value >= minimum, f"an integer >= {minimum}")

@@ -13,13 +13,12 @@ nodes can be swapped in from a JSON file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .encoding import DIRECT, HYBRID, RATE
 from .errors import ConfigurationError, ContractViolation
-from .network import ActivityCounters, Conv, NetworkSpec
+from .network import ActivityCounters, NetworkSpec
 
 # 45 nm CMOS estimates at 0.9 V: 32-bit multiply 3.1 pJ + add 0.1 pJ per MAC,
 # add-only 0.1 pJ per AC.
@@ -101,18 +100,11 @@ def spike_activity(spike_counts, neuron_counts, sample_count: int) -> list:
 
 
 def flops(spec: NetworkSpec, input_activity=None):
-    """Dense FLOPs per weighted layer, and spiking FLOPs when activity is given."""
-    f_ann = []
-    feature = [spec.input_shape] + spec.feature_shapes()
-    for i in spec.weighted_indices():
-        layer = spec.layers[i]
-        if isinstance(layer, Conv):
-            _, ho, wo = spec.feature_shapes()[i]
-            c_i = feature[i][0]
-            f_ann.append(layer.kernel**2 * ho * wo * layer.out_channels * c_i)
-        else:
-            f_in = int(np.prod(feature[i]))
-            f_ann.append(f_in * layer.units)
+    """Dense FLOPs per weighted layer, and spiking FLOPs when activity is given.
+
+    A layer's dense count is its weight count times its output positions.
+    """
+    f_ann = [math.prod(s.weight_shape) * math.prod(s.out_shape[1:]) for s in spec.stages]
     if input_activity is None:
         return f_ann
     if len(input_activity) != len(f_ann):

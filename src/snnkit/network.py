@@ -3,15 +3,21 @@
 A network is an ordered stack of descriptors (conv / avgpool / fully
 connected / dropout). Conv and fully-connected descriptors are "weighted"
 layers backed by spiking neurons; the final fully-connected layer is the
-leak-free output accumulator. The forward pass runs the chosen encoder's
-per-timestep inputs through the stack, recording the temporal trace needed
-by backpropagation-through-time in train mode, or lightweight activity
-counters in infer mode.
+leak-free output accumulator. The spec compiles the stack once into stages,
+one per weighted layer with its pool/dropout descriptors in front. The
+per-stage ops here are the only code that knows a layer's kind: ANN
+training, calibration, the forward pass and BPTT are loops over the stages.
+
+The forward pass runs the chosen encoder's per-timestep inputs through the
+stack, recording the temporal trace needed by backpropagation-through-time
+in train mode, or lightweight activity counters in infer mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +57,23 @@ _KIND = {Conv: "conv", AvgPool: "avgpool", FullyConnected: "fc", Dropout: "dropo
 
 
 @dataclass(frozen=True)
+class Stage:
+    """One weighted layer with the pool/dropout descriptors in front of it.
+
+    ``pre`` pairs each of those descriptors with its index in ``spec.layers``.
+    Shapes are per sample: ``operand_shape`` is what the weights read (after
+    ``pre``), ``out_shape`` is the layer's output.
+    """
+
+    layer: Conv | FullyConnected
+    pre: tuple
+    operand_shape: tuple
+    out_shape: tuple
+    weight_shape: tuple
+    name: str
+
+
+@dataclass(frozen=True)
 class NetworkSpec:
     """Ordered layer descriptors plus input shape, class count, and T."""
 
@@ -73,7 +96,7 @@ class NetworkSpec:
         for layer in self.layers:
             if isinstance(layer, Dropout) and not 0.0 <= layer.rate < 1.0:
                 raise ConfigurationError(f"dropout rate must lie in [0,1), got {layer.rate}")
-        self.feature_shapes()  # validates conv/pool arithmetic up front
+        self.stages  # compiling the stages validates conv/pool arithmetic up front
 
     def feature_shapes(self) -> list:
         """Shape of the feature map after each descriptor."""
@@ -99,35 +122,36 @@ class NetworkSpec:
             shapes.append(shape)
         return shapes
 
-    def weighted_indices(self) -> list:
-        return [i for i, l in enumerate(self.layers) if isinstance(l, (Conv, FullyConnected))]
+    @cached_property
+    def stages(self) -> tuple:
+        """The weighted layers in network order, compiled once into Stage records."""
+        shapes = [self.input_shape] + self.feature_shapes()
+        stages, pre, counts = [], [], {"conv": 0, "fc": 0}
+        for i, layer in enumerate(self.layers):
+            if not isinstance(layer, (Conv, FullyConnected)):
+                pre.append((i, layer))
+                continue
+            operand = shapes[i]
+            if isinstance(layer, Conv):
+                weight_shape = (layer.out_channels, operand[0], layer.kernel, layer.kernel)
+            else:
+                weight_shape = (layer.units, math.prod(operand))
+            kind = _KIND[type(layer)]
+            counts[kind] += 1
+            stages.append(Stage(layer, tuple(pre), operand, shapes[i + 1], weight_shape, f"{kind}{counts[kind]}"))
+            pre = []
+        return tuple(stages)
 
     def weight_shapes(self) -> list:
         """Kernel / matrix shape for each weighted layer, in network order."""
-        shapes = []
-        feature = [self.input_shape] + self.feature_shapes()
-        for i in self.weighted_indices():
-            fan_in_shape = feature[i]
-            layer = self.layers[i]
-            if isinstance(layer, Conv):
-                shapes.append((layer.out_channels, fan_in_shape[0], layer.kernel, layer.kernel))
-            else:
-                shapes.append((layer.units, int(np.prod(fan_in_shape))))
-        return shapes
+        return [s.weight_shape for s in self.stages]
 
     def neuron_counts(self) -> list:
         """Neuron count of each weighted layer's output."""
-        feature = self.feature_shapes()
-        return [int(np.prod(feature[i])) for i in self.weighted_indices()]
+        return [math.prod(s.out_shape) for s in self.stages]
 
     def layer_names(self) -> list:
-        names = []
-        counts = {"conv": 0, "fc": 0}
-        for i in self.weighted_indices():
-            kind = _KIND[type(self.layers[i])]
-            counts[kind] += 1
-            names.append(f"{kind}{counts[kind]}")
-        return names
+        return [s.name for s in self.stages]
 
     def to_dict(self) -> dict:
         out = []
@@ -202,23 +226,20 @@ class ActivityCounters:
     per_neuron_spikes: list | None = None
 
     def __post_init__(self):
-        n_weighted = len(self.spec.weighted_indices())
+        n_weighted = len(self.spec.stages)
         if not self.output_spikes:
             self.output_spikes = [0] * (n_weighted - 1)
         if not self.accumulate_events:
             self.accumulate_events = [0] * n_weighted
 
     def track_per_neuron(self):
-        shapes = [self.spec.feature_shapes()[i] for i in self.spec.weighted_indices()[:-1]]
-        self.per_neuron_spikes = [np.zeros((0,) + s, dtype=np.int32) for s in shapes]
+        self.per_neuron_spikes = [np.zeros((0,) + s.out_shape, dtype=np.int32) for s in self.spec.stages[:-1]]
         return self
 
 
 def reset(spec: NetworkSpec, batch: int = 1, dtype=np.float32):
     """Fresh zeroed neuron states for every weighted layer."""
-    feature = spec.feature_shapes()
-    widx = spec.weighted_indices()
-    hidden = [NeuronState.zeros((batch,) + feature[i], dtype=dtype) for i in widx[:-1]]
+    hidden = [NeuronState.zeros((batch,) + s.out_shape, dtype=dtype) for s in spec.stages[:-1]]
     out = OutputState.zeros((batch, spec.num_classes), dtype=dtype)
     return hidden, out
 
@@ -234,17 +255,99 @@ def check_params(spec: NetworkSpec, params: list):
             )
 
 
-def _sample_dropout_masks(spec: NetworkSpec, batch: int, rng, dtype):
-    """One mask per dropout descriptor, held fixed across all T timesteps."""
+def sample_dropout_masks(spec: NetworkSpec, batch: int, rng, dtype):
+    """One mask per dropout descriptor (None elsewhere), drawn in network order.
+
+    The spiking forward pass holds each mask fixed across all T timesteps.
+    """
     masks = [None] * len(spec.layers)
     feature = spec.feature_shapes()
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Dropout) and layer.rate > 0.0:
             if rng is None:
-                raise ConfigurationError("train-mode forward with dropout needs an RNG")
+                raise ConfigurationError("training with dropout needs an RNG")
             shape = (batch,) + (feature[i - 1] if i else spec.input_shape)
             masks[i] = (rng.random(shape) >= layer.rate).astype(dtype)
     return masks
+
+
+# -- per-stage ops ------------------------------------------------------------
+
+
+def apply_pre(stage: Stage, x, masks):
+    """Run the stage's pool/dropout descriptors; ``masks`` is None outside training."""
+    for i, layer in stage.pre:
+        if isinstance(layer, AvgPool):
+            x = numerics.avgpool2d(x, layer.window)
+        elif masks is not None and masks[i] is not None:
+            x = x * masks[i] / (1.0 - layer.rate)
+    return x
+
+
+def pre_adjoint(stage: Stage, d, masks):
+    """Carry an adjoint of the stage's operand input back through ``apply_pre``."""
+    for i, layer in reversed(stage.pre):
+        if isinstance(layer, AvgPool):
+            d = numerics.avgpool2d_input_grad(d, layer.window)
+        elif masks is not None and masks[i] is not None:
+            d = d * masks[i] / (1.0 - layer.rate)
+    return d
+
+
+def unfold(stage: Stage, x):
+    """What the weights read: im2col columns for a conv, the flattened input for an fc layer."""
+    layer = stage.layer
+    if isinstance(layer, Conv):
+        return numerics.im2col(x, layer.kernel, layer.stride, layer.padding)
+    return x.reshape(len(x), -1)
+
+
+def current(stage: Stage, weights, unfolded):
+    """Synaptic current from the stage's unfolded operand."""
+    if isinstance(stage.layer, Conv):
+        return numerics.conv_from_cols(weights, unfolded, stage.out_shape[1:])
+    return unfolded @ weights.T
+
+
+def input_current(stage: Stage, weights, x):
+    """Synaptic current straight from the operand input; a conv's columns are not kept."""
+    layer = stage.layer
+    if isinstance(layer, Conv):
+        return numerics.conv2d(x, weights, layer.stride, layer.padding)
+    return current(stage, weights, unfold(stage, x))
+
+
+def weight_grad(stage: Stage, d_out, unfolded):
+    """Weight gradient of one batch from the unfolded operand its forward pass kept."""
+    if isinstance(stage.layer, Conv):
+        b, co = d_out.shape[:2]
+        return np.einsum("bol,bil->oi", d_out.reshape(b, co, -1), unfolded).reshape(stage.weight_shape)
+    return d_out.T @ unfolded
+
+
+def step_weight_grad(stage: Stage, d_out, x):
+    """One timestep's weight gradient from the operand input the trace kept.
+
+    This is BPTT's per-step form. Its fc einsum sums in a different order
+    from ``weight_grad``'s GEMM, so the two stay apart to keep both the ANN
+    and the fine-tuned network bit-identical.
+    """
+    layer = stage.layer
+    if isinstance(layer, Conv):
+        return numerics.conv2d_weight_grad(d_out, x, layer.kernel, layer.stride, layer.padding)
+    return np.einsum("bo,bf->of", d_out.reshape(len(d_out), -1), x.reshape(len(x), -1))
+
+
+def input_adjoint(stage: Stage, weights, d_out):
+    """Adjoint of the stage's operand input, shaped like that input."""
+    layer = stage.layer
+    shape = (len(d_out),) + stage.operand_shape
+    if isinstance(layer, Conv):
+        return numerics.conv2d_input_grad(d_out, weights, shape, layer.stride, layer.padding)
+    return (d_out.reshape(len(d_out), -1) @ weights).reshape(shape)
+
+
+# -- the T-timestep pass ------------------------------------------------------
 
 
 def forward(
@@ -282,11 +385,10 @@ def forward(
 
     dtype = params[0].weights.dtype
     hidden_states, out_state = reset(spec, batch, dtype=dtype)
-    masks = _sample_dropout_masks(spec, batch, rng, dtype) if mode == TRAIN else [None] * len(spec.layers)
+    masks = sample_dropout_masks(spec, batch, rng, dtype) if mode == TRAIN else [None] * len(spec.layers)
 
-    widx = spec.weighted_indices()
-    n_hidden = len(widx) - 1
-    step_fn = single_spike_step if neuron_model == SINGLE_SPIKE else lif_step
+    stages = spec.stages
+    n_hidden = len(stages) - 1
     prev_spikes = [np.zeros_like(s.membrane) for s in hidden_states]  # multi-spike reset inputs
 
     trace = None
@@ -296,7 +398,7 @@ def forward(
             mode=mode,
             neuron_model=neuron_model,
             total_timesteps=spec.total_timesteps,
-            layer_inputs=[[] for _ in widx],
+            layer_inputs=[[] for _ in stages],
             membranes=[[] for _ in range(n_hidden)],
             norm_potentials=[[] for _ in range(n_hidden)],
             reset_gates=[[] for _ in range(n_hidden)],
@@ -310,73 +412,58 @@ def forward(
         if counters.per_neuron_spikes is not None:
             for h in range(n_hidden):
                 counters.per_neuron_spikes[h] = np.concatenate(
-                    [counters.per_neuron_spikes[h], np.zeros((batch,) + hidden_states[h].membrane.shape[1:], np.int32)]
+                    [counters.per_neuron_spikes[h], np.zeros((batch,) + stages[h].out_shape, np.int32)]
                 )
 
     analog_mac = encoded.mode in (HYBRID, DIRECT)  # dense MAC pass at t=1
-    feature = spec.feature_shapes()
 
     for t in range(1, spec.total_timesteps + 1):
         x = np.asarray(encoded.input_at(t), dtype=dtype)
         if not batched:
             x = x[None]
-        w_i = 0
-        for li, layer in enumerate(spec.layers):
-            if isinstance(layer, AvgPool):
-                x = numerics.avgpool2d(x, layer.window)
-                continue
-            if isinstance(layer, Dropout):
-                if masks[li] is not None:
-                    x = x * masks[li] / (1.0 - layer.rate)
-                continue
-            p = params[w_i]
-            if isinstance(layer, Conv):
-                ho, wo = feature[li][1:]
-                cols = numerics.im2col(x, layer.kernel, layer.stride, layer.padding)
-                current = numerics.conv_from_cols(p.weights, cols, (ho, wo))
-                events = int(np.count_nonzero(cols)) * layer.out_channels
-            else:
-                flat = x.reshape(batch, -1)
-                current = flat @ p.weights.T
-                events = int(np.count_nonzero(flat)) * layer.units
+        for i, stage in enumerate(stages):
+            p = params[i]
+            x = apply_pre(stage, x, masks)
+            cols = unfold(stage, x)
+            drive = current(stage, p.weights, cols)
             if counters is not None:
-                if w_i == 0 and analog_mac:
+                events = int(np.count_nonzero(cols)) * p.weights.shape[0]
+                if i == 0 and analog_mac:
                     if t == 1:
                         counters.first_layer_analog_events += events
                     elif encoded.mode == HYBRID:
                         counters.accumulate_events[0] += events
                     # direct mode replays the same analog pass; nothing new accumulates
                 else:
-                    counters.accumulate_events[w_i] += events
+                    counters.accumulate_events[i] += events
             if with_trace:
-                trace.layer_inputs[w_i].append(x)
+                trace.layer_inputs[i].append(x)
 
-            if w_i == len(widx) - 1:
-                out_state = output_step(out_state, p, current, t, spec.total_timesteps)
+            if i == n_hidden:
+                out_state = output_step(out_state, p, drive, t, spec.total_timesteps)
                 if with_trace:
                     trace.output_membranes.append(out_state.membrane)
-            else:
-                state = hidden_states[w_i]
-                if neuron_model == SINGLE_SPIKE:
-                    if with_trace:
-                        trace.reset_gates[w_i].append(state.norm_potential > 0)
-                    state, spikes = single_spike_step(state, p, current, mode)
-                else:
-                    if with_trace:
-                        trace.reset_gates[w_i].append(prev_spikes[w_i] > 0)
-                    state, spikes = lif_step(state, p, current, prev_spikes[w_i])
-                    prev_spikes[w_i] = spikes
-                hidden_states[w_i] = state
+                continue
+            state = hidden_states[i]
+            if neuron_model == SINGLE_SPIKE:
                 if with_trace:
-                    trace.membranes[w_i].append(state.membrane)
-                    trace.norm_potentials[w_i].append(state.norm_potential)
-                    trace.hidden_spikes[w_i].append(spikes)
-                if counters is not None:
-                    counters.output_spikes[w_i] += int(np.count_nonzero(spikes))
-                    if counters.per_neuron_spikes is not None:
-                        counters.per_neuron_spikes[w_i][-batch:] += spikes.astype(np.int32)
-                x = spikes
-            w_i += 1
+                    trace.reset_gates[i].append(state.norm_potential > 0)
+                state, spikes = single_spike_step(state, p, drive, mode)
+            else:
+                if with_trace:
+                    trace.reset_gates[i].append(prev_spikes[i] > 0)
+                state, spikes = lif_step(state, p, drive, prev_spikes[i])
+                prev_spikes[i] = spikes
+            hidden_states[i] = state
+            if with_trace:
+                trace.membranes[i].append(state.membrane)
+                trace.norm_potentials[i].append(state.norm_potential)
+                trace.hidden_spikes[i].append(spikes)
+            if counters is not None:
+                counters.output_spikes[i] += int(np.count_nonzero(spikes))
+                if counters.per_neuron_spikes is not None:
+                    counters.per_neuron_spikes[i][-batch:] += spikes.astype(np.int32)
+            x = spikes
 
     if with_trace:
         trace.output_state = out_state

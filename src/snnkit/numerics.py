@@ -1,4 +1,4 @@
-"""Minimal dense-tensor arithmetic: matmul, 2-D convolution, average pooling.
+"""Minimal dense-tensor arithmetic: 2-D convolution and average pooling.
 
 All operations are pure functions over numpy arrays in row-major layout,
 default dtype float32, preserving the dtype of their inputs so verification
@@ -25,17 +25,6 @@ def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericalError(f"{name} produced non-finite values")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product of two 2-D arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return require_finite("matmul", a @ b)
 
 
 def conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> int:

@@ -17,18 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-from .errors import ConfigurationError, ContractViolation, TrainingError
-from .network import (
-    SINGLE_SPIKE,
-    AvgPool,
-    Conv,
-    Dropout,
-    NetworkSpec,
-    TemporalTrace,
-    evaluate,
-    forward,
-)
+from . import network
+from .errors import ConfigurationError, ContractViolation, TrainingError, require, require_count
+from .network import SINGLE_SPIKE, NetworkSpec, TemporalTrace, evaluate, forward
 from .neuron import TRAIN, LayerParams, OutputState, surrogate_grad
 
 
@@ -55,12 +46,16 @@ class TrainConfig:
     keep_best: bool = False
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigurationError(f"learning rate must be positive, got {self.lr}")
-        if not self.surrogate_gain > 0:
-            raise ConfigurationError(f"surrogate gain must be positive, got {self.surrogate_gain}")
-        if not self.spike_time_band > 0:
-            raise ConfigurationError(f"spike-time band must be positive, got {self.spike_time_band}")
+        for name in ("epochs", "batch_size", "lr_decay_every"):
+            require_count(f"snn_train.{name}", getattr(self, name))
+        for name in ("lr", "surrogate_gain", "spike_time_band", "threshold_floor"):
+            require(f"snn_train.{name}", getattr(self, name), getattr(self, name) > 0, "positive")
+        for name in ("threshold_lr_scale", "leak_lr_scale"):
+            require(f"snn_train.{name}", getattr(self, name), getattr(self, name) >= 0, "non-negative")
+        require("snn_train.lr_decay", self.lr_decay, 0 < self.lr_decay <= 1, "in (0, 1]")
+        require("snn_train.momentum", self.momentum, 0 <= self.momentum < 1, "in [0, 1)")
+        leaks = (self.leak_min, self.leak_max)
+        require("snn_train.leak_min/leak_max", leaks, 0 <= self.leak_min <= self.leak_max <= 1, "ordered within [0, 1]")
 
 
 @dataclass
@@ -153,20 +148,6 @@ def output_layer_grads(trace: TemporalTrace, loss: HybridLossResult, params: lis
     return d_weights.astype(params[last].weights.dtype), d_threshold
 
 
-def _reverse_transforms(spec: NetworkSpec, lo: int, hi: int, deltas: list, trace: TemporalTrace, target_shape):
-    """Backpropagate per-timestep adjoints through the descriptors in (lo, hi)."""
-    out = deltas
-    for li in range(hi - 1, lo, -1):
-        layer = spec.layers[li]
-        if isinstance(layer, Dropout):
-            mask = trace.dropout_masks[li]
-            if mask is not None:
-                out = [d * mask / (1.0 - layer.rate) for d in out]
-        elif isinstance(layer, AvgPool):
-            out = [numerics.avgpool2d_input_grad(d, layer.window) for d in out]
-    return [d.reshape(d.shape[0], *target_shape) for d in out]
-
-
 def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult, config: TrainConfig) -> GradientSet:
     """Hidden-layer gradients via backpropagation through time.
 
@@ -177,40 +158,35 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
     """
     if trace.mode != TRAIN:
         raise ContractViolation("hidden-layer BPTT needs a train-mode trace")
-    spec = trace.spec
-    widx = spec.weighted_indices()
-    n_hidden = len(widx) - 1
+    stages = trace.spec.stages
+    masks = trace.dropout_masks
+    n_hidden = len(stages) - 1
     total_t = trace.total_timesteps
-    batch = loss.grad_u.reshape(-1, spec.num_classes).shape[0]
-    feature = spec.feature_shapes()
+    batch = loss.grad_u.reshape(-1, trace.spec.num_classes).shape[0]
 
     grads = GradientSet(weight=[None] * n_hidden, threshold=[0.0] * n_hidden, leak=[0.0] * n_hidden)
 
-    # Adjoint of the input arriving at the layer above, per timestep. The
-    # output accumulator makes it the same vector at every t.
+    # Adjoint of the operand input of the layer above, per timestep. The
+    # output accumulator makes it the same array at every t.
     grad_u = loss.grad_u.reshape(batch, -1).astype(params[-1].weights.dtype, copy=False)
-    d_flat = (grad_u @ params[-1].weights).reshape(trace.layer_inputs[len(widx) - 1][0].shape)
-    upper_input_deltas = [d_flat] * total_t
-    upper_wi = len(widx) - 1
+    upper_input_deltas = [network.input_adjoint(stages[-1], params[-1].weights, grad_u)] * total_t
 
     for h in range(n_hidden - 1, -1, -1):
         if not trace.norm_potentials[h]:
             raise ContractViolation(f"trace has no recorded state for hidden layer {h}")
-        out_shape = feature[widx[h]]
-        d_spikes = _reverse_transforms(spec, widx[h], widx[upper_wi], upper_input_deltas, trace, out_shape)
-
+        stage, above = stages[h], stages[h + 1]
         p = params[h]
         v = float(p.threshold)
         d_w = np.zeros_like(p.weights)
         d_v = 0.0
         d_leak = 0.0
-        d_membrane_next = np.zeros((batch,) + tuple(out_shape), dtype=p.weights.dtype)
+        d_membrane_next = np.zeros((batch,) + stage.out_shape, dtype=p.weights.dtype)
         input_deltas = [None] * total_t
-        layer = spec.layers[widx[h]]
 
         for t in range(total_t, 0, -1):
+            d_spikes = network.pre_adjoint(above, upper_input_deltas[t - 1], masks)
             z_t = trace.norm_potentials[h][t - 1]
-            d_z = d_spikes[t - 1] * surrogate_grad(z_t, config.surrogate_gain)
+            d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
             d_membrane = d_z / v + p.leak * d_membrane_next
 
             x_t = trace.layer_inputs[h][t - 1]
@@ -218,15 +194,9 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
             u_prev = trace.membranes[h][t - 2] if t > 1 else np.zeros_like(u_t)
             gate = trace.reset_gates[h][t - 1].astype(d_z.dtype)
 
-            if isinstance(layer, Conv):
-                d_w += numerics.conv2d_weight_grad(d_z / v, x_t, layer.kernel, layer.stride, layer.padding)
-                input_deltas[t - 1] = numerics.conv2d_input_grad(
-                    d_membrane, p.weights, x_t.shape, layer.stride, layer.padding
-                )
-            else:
-                flat = x_t.reshape(batch, -1)
-                d_w += np.einsum("bo,bf->of", (d_z / v).reshape(batch, -1), flat)
-                input_deltas[t - 1] = (d_membrane.reshape(batch, -1) @ p.weights).reshape(x_t.shape)
+            d_w += network.step_weight_grad(stage, d_z / v, x_t)
+            if h:  # nothing reads the first layer's input adjoint
+                input_deltas[t - 1] = network.input_adjoint(stage, p.weights, d_membrane)
 
             d_v += float((d_z * (-v * gate - u_t)).sum() / (v * v))
             d_leak += float((d_z * u_prev).sum() / v)
@@ -236,7 +206,6 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
         grads.threshold[h] = d_v / batch
         grads.leak[h] = d_leak / batch
         upper_input_deltas = input_deltas
-        upper_wi = h
 
     return grads
 

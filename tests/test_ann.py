@@ -18,7 +18,7 @@ from snnkit.ann import (
     softmax_cross_entropy,
 )
 from snnkit.errors import CalibrationError, ConfigurationError, TrainingError
-from snnkit.network import AvgPool, Conv, FullyConnected, NetworkSpec
+from snnkit.network import AvgPool, Conv, Dropout, FullyConnected, NetworkSpec
 
 
 def tiny_spec():
@@ -28,6 +28,63 @@ def tiny_spec():
         num_classes=4,
         total_timesteps=2,
     )
+
+
+def strided_dropout_spec():
+    """A stride-2, padding-1 conv, and dropout in front of both fc layers."""
+    return NetworkSpec(
+        layers=(
+            Conv(4, 3, stride=2, padding=1),
+            AvgPool(2),
+            Dropout(0.3),
+            FullyConnected(6),
+            Dropout(0.25),
+            FullyConnected(4),
+        ),
+        input_shape=(1, 7, 7),
+        num_classes=4,
+        total_timesteps=2,
+    )
+
+
+def finite_difference_checks(spec):
+    """Central differences against ann_backward on random weight entries; returns how many were compared."""
+    rng = numerics.make_rng(1)
+    weights = [w.astype(np.float64) for w in init_ann(spec, rng).weights]
+    x = rng.normal(size=(3,) + spec.input_shape)
+    labels = np.array([0, 2, 3])
+
+    def forward(ws):
+        # train mode with a fixed RNG: the same dropout masks on every call
+        return ann_forward(spec, ws, x, train=True, rng=numerics.make_rng(4))
+
+    def loss_at(ws):
+        return softmax_cross_entropy(forward(ws)[0], labels)[0]
+
+    logits, cache = forward(weights)
+    masks = [m for m in cache[0] if m is not None]
+    assert len(masks) == sum(isinstance(l, Dropout) for l in spec.layers)
+    assert all(0 < m.mean() < 1 for m in masks)
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+    grads = ann_backward(spec, weights, cache, dlogits)
+    eps = 1e-5
+    rng_p = numerics.make_rng(2)
+    checked = 0
+    for layer in range(len(weights)):
+        for _ in range(12):
+            flat = int(rng_p.integers(0, weights[layer].size))
+            wp = [w.copy() for w in weights]
+            wm = [w.copy() for w in weights]
+            wp[layer].flat[flat] += eps
+            wm[layer].flat[flat] -= eps
+            numeric = (loss_at(wp) - loss_at(wm)) / (2 * eps)
+            analytic = grads[layer].flat[flat]
+            denom = max(abs(numeric), abs(analytic), 1e-8)
+            if denom < 1e-7:
+                continue  # ReLU-dead or dropped entry, both effectively zero
+            assert abs(analytic - numeric) / denom < 1e-4
+            checked += 1
+    return checked
 
 
 class TestAnnTraining:
@@ -44,37 +101,10 @@ class TestAnnTraining:
         assert ann_accuracy(spec, params, images, labels) == 100.0
 
     def test_gradients_match_finite_differences(self):
-        rng = numerics.make_rng(1)
-        spec = tiny_spec()
-        weights = [w.astype(np.float64) for w in init_ann(spec, rng).weights]
-        x = rng.normal(size=(3, 1, 6, 6))
-        labels = np.array([0, 2, 3])
+        # the second spec runs the dropout adjoint, a stride and padding
+        for spec in (tiny_spec(), strided_dropout_spec()):
+            assert finite_difference_checks(spec) >= 20
 
-        def loss_at(ws):
-            logits, _ = ann_forward(spec, ws, x)
-            return softmax_cross_entropy(logits, labels)[0]
-
-        logits, cache = ann_forward(spec, weights, x)
-        loss, dlogits = softmax_cross_entropy(logits, labels)
-        grads = ann_backward(spec, weights, cache, dlogits)
-        eps = 1e-5
-        rng_p = numerics.make_rng(2)
-        checked = 0
-        for layer in range(len(weights)):
-            for _ in range(8):
-                flat = int(rng_p.integers(0, weights[layer].size))
-                wp = [w.copy() for w in weights]
-                wm = [w.copy() for w in weights]
-                wp[layer].flat[flat] += eps
-                wm[layer].flat[flat] -= eps
-                numeric = (loss_at(wp) - loss_at(wm)) / (2 * eps)
-                analytic = grads[layer].flat[flat]
-                denom = max(abs(numeric), abs(analytic), 1e-8)
-                if denom < 1e-7:
-                    continue  # ReLU-dead entry, both effectively zero
-                assert abs(analytic - numeric) / denom < 1e-4
-                checked += 1
-        assert checked >= 20
 
     def test_divergence_raises_training_error(self):
         rng = numerics.make_rng(3)

@@ -9,7 +9,7 @@ import pytest
 from snnkit import cli, data, modelio, pipeline
 from snnkit.ann import AnnTrainConfig, CalibrationConfig
 from snnkit.config import DatasetConfig, ExperimentConfig, RunReport
-from snnkit.errors import EmissionError
+from snnkit.errors import ConfigurationError, EmissionError
 from snnkit.network import FullyConnected, NetworkSpec
 from snnkit.neuron import LayerParams
 from snnkit.training import TrainConfig
@@ -199,6 +199,40 @@ class TestExitCodes:
         modelio.save_params(out_dir / pipeline.ANN_MODEL, zero)
         assert cli.main(["calibrate", "--config", cfg_path]) == 4
         assert "[phase calibrate]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("snn_train", "lr_decay_every", 0),
+            ("snn_train", "epochs", -1),
+            ("snn_train", "epochs", 0),
+            ("snn_train", "batch_size", 0),
+            ("snn_train", "leak_min", 2.0),
+            ("snn_train", "momentum", 1.0),
+            ("snn_train", "lr_decay", float("nan")),
+            ("ann_train", "batch_size", 0),
+            ("ann_train", "epochs", 2.5),
+            ("ann_train", "base_lr", 0.0),
+            ("calibration", "calib_timesteps", 0),
+            ("calibration", "num_images", 0),
+            ("calibration", "calib_leak", 1.5),
+        ],
+    )
+    def test_out_of_range_config_is_rejected(self, tiny_root, section, field, value):
+        root, paths = tiny_root
+        d = tiny_config(root, paths).to_dict()
+        d[section][field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig.from_dict(d)
+
+    def test_zero_epoch_train_snn_is_config_error(self, tiny_root, capsys):
+        root, paths = tiny_root
+        d = tiny_config(root, paths, "out_zero").to_dict()
+        d["snn_train"]["epochs"] = 0
+        cfg_path = root / "zero_epochs.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli.main(["train-snn", "--config", str(cfg_path)]) == 2
+        assert "snn_train.epochs" in capsys.readouterr().err
 
     def test_emission_error(self, tmp_path):
         report = RunReport(config={}, seed=0)

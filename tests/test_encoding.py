@@ -104,7 +104,7 @@ class TestDirect:
         image = rng.random(6).astype(np.float32)
         weights = rng.normal(size=(4, 6)).astype(np.float32)
         seq = encode_direct(image, 3)
-        currents = [numerics.matmul(weights, seq.input_at(t).reshape(-1, 1)) for t in (1, 2, 3)]
+        currents = [weights @ seq.input_at(t) for t in (1, 2, 3)]
         np.testing.assert_array_equal(currents[0], currents[1])
         np.testing.assert_array_equal(currents[0], currents[2])
 

@@ -29,7 +29,7 @@ def count_events_bruteforce(spec, trace, encoding_mode):
     (it is charged as the dense MAC pass); for direct inputs the first layer
     accumulates nothing beyond that single pass.
     """
-    widx = spec.weighted_indices()
+    widx = [i for i, l in enumerate(spec.layers) if isinstance(l, (Conv, FullyConnected))]
     events = [0] * len(widx)
     for w_i, li in enumerate(widx):
         layer = spec.layers[li]

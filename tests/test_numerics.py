@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from snnkit import numerics
 from snnkit.errors import ConfigurationError, DimensionError, NumericalError
@@ -26,50 +25,6 @@ def conv_bruteforce(x, w, stride, padding):
                                 acc += float(x[c, yy, xs]) * float(w[o, c, dy, dx])
                 out[o, y, xx] = acc
     return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        np.testing.assert_array_equal(numerics.matmul(np.eye(2, dtype=np.float32), a), a)
-
-    def test_zero(self):
-        out = numerics.matmul(np.array([[1.0, 2.0]]), np.array([[0.0], [0.0]]))
-        np.testing.assert_array_equal(out, [[0.0]])
-
-    def test_hand_example(self):
-        out = numerics.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        np.testing.assert_array_equal(out, [[17.0], [39.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            numerics.matmul(np.ones((2, 3)), np.ones((2, 2)))
-        with pytest.raises(DimensionError):
-            numerics.matmul(np.ones(3), np.ones((3, 2)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_distributes_over_addition(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(8, 8)).astype(np.float32)
-        b = rng.normal(size=(8, 8)).astype(np.float32)
-        c = rng.normal(size=(8, 8)).astype(np.float32)
-        lhs = numerics.matmul(a, b + c)
-        rhs = numerics.matmul(a, b) + numerics.matmul(a, c)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-5)
-
-    def test_non_finite_raises(self):
-        bad = np.array([[np.float32(3e38), np.float32(3e38)]])
-        with np.errstate(over="ignore"), pytest.raises(NumericalError):
-            numerics.matmul(bad, np.full((2, 1), np.float32(3e38)))
-
-    def test_inputs_unmodified(self):
-        a = np.arange(4.0).reshape(2, 2)
-        b = np.arange(4.0).reshape(2, 2)
-        a0, b0 = a.copy(), b.copy()
-        numerics.matmul(a, b)
-        np.testing.assert_array_equal(a, a0)
-        np.testing.assert_array_equal(b, b0)
 
 
 class TestConv2d:
@@ -126,6 +81,11 @@ class TestConv2d:
         x0 = x.copy()
         numerics.conv2d(x, np.ones((1, 1, 3, 3), dtype=np.float32), padding=1)
         np.testing.assert_array_equal(x, x0)
+
+    def test_non_finite_raises(self):
+        x = np.full((1, 2, 2), np.float32(3e38))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            numerics.conv2d(x, np.full((1, 1, 1, 1), np.float32(3e38)))
 
 
 class TestConvGradients:
