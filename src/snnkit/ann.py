@@ -36,7 +36,6 @@ class CalibrationConfig:
     scaling: float = 0.4
     calib_timesteps: int = 100
     calib_leak: float = 1.0
-    calib_encoding: str = "direct"
 
     def __post_init__(self):
         require_count("calibration.num_images", self.num_images)

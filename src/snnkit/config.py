@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .ann import AnnTrainConfig, CalibrationConfig
 from .encoding import ENCODERS, HYBRID
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require, require_count
 from .metrics import EnergyReport
 from .network import NetworkSpec
 from .training import TrainConfig
@@ -29,10 +29,17 @@ class DatasetConfig:
 
     def referenced_files(self) -> list:
         if self.format == "idx":
-            return [self.train_images, self.train_labels, self.test_images, self.test_labels]
-        if self.format == "cifar-binary":
-            return list(self.train_files) + list(self.test_files)
-        raise ConfigurationError(f"unknown dataset format {self.format!r}")
+            files = [self.train_images, self.train_labels, self.test_images, self.test_labels]
+        elif self.format == "cifar-binary":
+            for name in ("train_files", "test_files"):
+                value = getattr(self, name)
+                require(f"dataset.{name}", value, isinstance(value, list) and value, "a non-empty list of paths")
+            files = self.train_files + self.test_files
+        else:
+            raise ConfigurationError(f"unknown dataset format {self.format!r}")
+        for path in files:
+            require("dataset file", path, isinstance(path, (str, os.PathLike)) and path, "a path")
+        return files
 
 
 @dataclass
@@ -58,9 +65,14 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown neuron model {self.neuron_model!r}")
         if self.encoder == HYBRID and self.network.total_timesteps < 2:
             raise ConfigurationError("the hybrid encoder needs at least 2 timesteps")
+        require_count("seed", self.seed, 0)
+        if self.eval_samples is not None:
+            require_count("eval_samples", self.eval_samples)
+        require("out_dir", self.out_dir, isinstance(self.out_dir, (str, os.PathLike)) and self.out_dir, "a path")
+        files = self.dataset.referenced_files()
         if check_files:
-            for path in self.dataset.referenced_files():
-                if not path or not os.path.exists(path):
+            for path in files:
+                if not os.path.exists(path):
                     raise ConfigurationError(f"referenced dataset file does not exist: {path!r}")
         return self
 
@@ -90,12 +102,12 @@ class ExperimentConfig:
                 calibration=CalibrationConfig(**d.get("calibration", {})),
                 ann_train=AnnTrainConfig(**d.get("ann_train", {})),
                 snn_train=TrainConfig(**d.get("snn_train", {})),
-                seed=int(d.get("seed", 0)),
+                seed=d.get("seed", 0),
                 out_dir=d.get("out_dir", "runs/out"),
                 eval_samples=d.get("eval_samples"),
-                schema_version=int(d.get("schema_version", SCHEMA_VERSION)),
+                schema_version=d.get("schema_version", SCHEMA_VERSION),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed experiment config: {exc}") from exc
 
     @classmethod

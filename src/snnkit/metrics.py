@@ -24,6 +24,9 @@ from .network import ActivityCounters, NetworkSpec
 # add-only 0.1 pJ per AC.
 DEFAULT_ENERGY_COSTS = {"e_mac_pj": 3.2, "e_ac_pj": 0.1}
 
+# Encodings whose first layer reads the analog frame, charged as one dense MAC pass.
+ANALOG_INPUT = (HYBRID, DIRECT)
+
 
 @dataclass(frozen=True)
 class EnergyCosts:
@@ -60,6 +63,16 @@ class EnergyReport:
     total_timesteps: int
     samples: int
 
+    def layer_energy_pj(self) -> list:
+        """(E_ANN, E_SNN) of each layer; the first layer's E_SNN includes its analog MAC pass."""
+        out = []
+        for i, row in enumerate(self.layers):
+            e_snn = row.f_snn * self.e_ac_pj
+            if i == 0 and self.encoding in ANALOG_INPUT:
+                e_snn += row.f_ann * self.e_mac_pj
+            out.append((row.f_ann * self.e_mac_pj, e_snn))
+        return out
+
     def to_dict(self) -> dict:
         return {
             "layers": [vars(l) for l in self.layers],
@@ -88,6 +101,11 @@ class EnergyReport:
             total_timesteps=d["total_timesteps"],
             samples=d["samples"],
         )
+
+
+def energy_ratio(e_ann_pj: float, e_snn_pj: float) -> float:
+    """E_ANN / E_SNN, infinite when the spiking side spends nothing."""
+    return float(e_ann_pj / e_snn_pj) if e_snn_pj else float("inf")
 
 
 def spike_activity(spike_counts, neuron_counts, sample_count: int) -> list:
@@ -129,7 +147,7 @@ def energy(
     zetas = [fs / fa for fs, fa in zip(f_snn, f_ann)]
 
     e_ann = sum(f_ann) * costs.e_mac_pj
-    analog_mac = f_ann[0] * costs.e_mac_pj if encoding_mode in (HYBRID, DIRECT) else 0.0
+    analog_mac = f_ann[0] * costs.e_mac_pj if encoding_mode in ANALOG_INPUT else 0.0
     e_snn = analog_mac + sum(f_snn) * costs.e_ac_pj
 
     names = spec.layer_names()
@@ -140,7 +158,7 @@ def energy(
         spike_activity=activity,
         e_ann_pj=float(e_ann),
         e_snn_pj=float(e_snn),
-        ratio=float(e_ann / e_snn) if e_snn else float("inf"),
+        ratio=energy_ratio(e_ann, e_snn),
         e_mac_pj=costs.e_mac_pj,
         e_ac_pj=costs.e_ac_pj,
         encoding=encoding_mode,

@@ -3,10 +3,14 @@
 Layout (little-endian): magic "SNNP", u32 version, u32 layer count, then per
 layer a u32 ndim, u32 dims, float32 threshold, float32 leak, and the raw
 float32 weight bytes in row-major order. Round-trips are bit-exact.
+Artifacts are written through ``atomic_write``, so a reader never sees a
+half-written file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -18,8 +22,26 @@ MAGIC = b"SNNP"
 VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a temp file beside ``path`` that replaces ``path`` only when the block completes.
+
+    If the block raises, the temp file is removed and any earlier file at
+    ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_params(path, params: list):
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for p in params:

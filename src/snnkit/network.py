@@ -16,6 +16,7 @@ in train mode, or lightweight activity counters in infer mode.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import numerics
 from .encoding import DIRECT, HYBRID, SpikeInputSequence
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, require, require_count
 from .neuron import INFER, TRAIN, NeuronState, OutputState, lif_step, output_step, single_spike_step
 
 SINGLE_SPIKE = "single_spike"
@@ -37,20 +38,35 @@ class Conv:
     stride: int = 1
     padding: int = 0
 
+    def __post_init__(self):
+        for name in ("out_channels", "kernel", "stride"):
+            require_count(f"conv.{name}", getattr(self, name))
+        require_count("conv.padding", self.padding, 0)
+
 
 @dataclass(frozen=True)
 class AvgPool:
     window: int
+
+    def __post_init__(self):
+        require_count("avgpool.window", self.window)
 
 
 @dataclass(frozen=True)
 class FullyConnected:
     units: int
 
+    def __post_init__(self):
+        require_count("fc.units", self.units)
+
 
 @dataclass(frozen=True)
 class Dropout:
     rate: float
+
+    def __post_init__(self):
+        real = isinstance(self.rate, numbers.Real) and not isinstance(self.rate, bool)
+        require("dropout.rate", self.rate, real and 0.0 <= self.rate < 1.0, "in [0, 1)")
 
 
 _KIND = {Conv: "conv", AvgPool: "avgpool", FullyConnected: "fc", Dropout: "dropout"}
@@ -85,17 +101,16 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        if self.total_timesteps < 1:
-            raise ConfigurationError("total_timesteps must be at least 1")
+        require_count("network.num_classes", self.num_classes)
+        require_count("network.total_timesteps", self.total_timesteps)
+        for extent in self.input_shape:
+            require_count("network.input_shape entry", extent)
         if not self.layers or not isinstance(self.layers[-1], FullyConnected):
             raise ConfigurationError("the last descriptor must be fully connected")
         if self.layers[-1].units != self.num_classes:
             raise ConfigurationError(
                 f"output layer has {self.layers[-1].units} units but num_classes is {self.num_classes}"
             )
-        for layer in self.layers:
-            if isinstance(layer, Dropout) and not 0.0 <= layer.rate < 1.0:
-                raise ConfigurationError(f"dropout rate must lie in [0,1), got {layer.rate}")
         self.stages  # compiling the stages validates conv/pool arithmetic up front
 
     def feature_shapes(self) -> list:
@@ -179,8 +194,8 @@ class NetworkSpec:
         return cls(
             layers=tuple(layers),
             input_shape=tuple(d["input_shape"]),
-            num_classes=int(d["num_classes"]),
-            total_timesteps=int(d["total_timesteps"]),
+            num_classes=d["num_classes"],
+            total_timesteps=d["total_timesteps"],
         )
 
 

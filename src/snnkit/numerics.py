@@ -124,13 +124,30 @@ def conv2d_weight_grad(dout: np.ndarray, x: np.ndarray, kernel: int, stride: int
 
 
 def avgpool2d(x, window: int) -> np.ndarray:
-    """Mean over non-overlapping window x window blocks of a (…,C,H,W) map."""
+    """Mean over non-overlapping window x window blocks of a (…,C,H,W) map.
+
+    Each window row is summed left to right, the row sums are added top to
+    bottom, and the total is divided by ``window * window``. Starting from
+    ``0.0 + x`` makes a window of negative zeros sum to +0.0. For windows
+    below 8 whose pooled map is at least two columns wide this is the order
+    and result of ``reshape(...).mean(axis=(3, 5))``, bit for bit.
+    """
     x = np.asarray(x)
     xb, squeezed = _as_batched(x)
-    b, c, h, w = xb.shape
+    h, w = xb.shape[2:]
     if h % window or w % window:
         raise ConfigurationError(f"pool window {window} does not divide extents {(h, w)}")
-    out = xb.reshape(b, c, h // window, window, w // window, window).mean(axis=(3, 5))
+
+    def row_sum(ky):
+        row = xb[:, :, ky::window, 0::window] + 0.0
+        for kx in range(1, window):
+            row += xb[:, :, ky::window, kx::window]
+        return row
+
+    out = row_sum(0)
+    for ky in range(1, window):
+        out += row_sum(ky)
+    out /= window * window
     out = out.astype(x.dtype, copy=False)
     require_finite("avgpool2d", out)
     return out[0] if squeezed else out
@@ -138,5 +155,9 @@ def avgpool2d(x, window: int) -> np.ndarray:
 
 def avgpool2d_input_grad(dout: np.ndarray, window: int) -> np.ndarray:
     """Spread pooled gradients uniformly back over each window."""
-    g = np.repeat(np.repeat(dout, window, axis=-2), window, axis=-1)
-    return g / (window * window)
+    g = dout / (window * window)
+    out = np.empty(g.shape[:-2] + (g.shape[-2] * window, g.shape[-1] * window), dtype=g.dtype)
+    for ky in range(window):
+        for kx in range(window):
+            out[..., ky::window, kx::window] = g
+    return out

@@ -21,7 +21,7 @@ from . import modelio, training
 from .config import ExperimentConfig, RunReport
 from .encoding import DIRECT, HYBRID, RATE, IntensityRange, encode_direct, encode_hybrid, encode_poisson_rate
 from .errors import ConfigurationError, EmissionError, SnnkitError
-from .metrics import EnergyCosts, energy
+from .metrics import EnergyCosts, energy, energy_ratio
 from .network import MULTI_SPIKE, ActivityCounters, NetworkSpec, evaluate
 from .neuron import LayerParams
 
@@ -163,7 +163,7 @@ class Experiment:
             self.thresholds = ann_mod.calibrate_thresholds(
                 ann_params, cfg.network, self.dataset.train_images[idx], calib_cfg
             )
-            with open(self._path(THRESHOLDS_FILE), "w") as fh:
+            with modelio.atomic_write(self._path(THRESHOLDS_FILE), "w") as fh:
                 json.dump({"thresholds": self.thresholds}, fh, indent=2)
                 fh.write("\n")
             return self.thresholds
@@ -300,12 +300,12 @@ def emit_report(report: RunReport, out_dir) -> dict:
             "energy": os.path.join(out_dir, ENERGY_CSV),
             "loss": os.path.join(out_dir, LOSS_CSV),
         }
-        with open(paths["report"], "w") as fh:
+        with modelio.atomic_write(paths["report"], "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
         energy_report = report.energy
-        with open(paths["spikes"], "w", newline="") as fh:
+        with modelio.atomic_write(paths["spikes"], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["layer", "spikes_per_neuron"])
             if energy_report:
@@ -313,25 +313,20 @@ def emit_report(report: RunReport, out_dir) -> dict:
                 for name, zeta in zip(names, energy_report.spike_activity):
                     writer.writerow([name, f"{zeta:.9g}"])
 
-        with open(paths["energy"], "w", newline="") as fh:
+        with modelio.atomic_write(paths["energy"], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["layer", "input_activity", "ann_flops", "snn_flops", "e_ann_pj", "e_snn_pj", "ratio"])
             if energy_report:
-                for row in energy_report.layers:
-                    writer.writerow([row.name, f"{row.zeta:.9g}", row.f_ann, f"{row.f_snn:.9g}", "", "", ""])
-                writer.writerow(
-                    [
-                        "total",
-                        "",
-                        sum(r.f_ann for r in energy_report.layers),
-                        f"{sum(r.f_snn for r in energy_report.layers):.9g}",
-                        f"{energy_report.e_ann_pj:.17g}",
-                        f"{energy_report.e_snn_pj:.17g}",
-                        f"{energy_report.ratio:.17g}",
-                    ]
-                )
+                layers = energy_report.layers
+                for row, (e_ann, e_snn) in zip(layers, energy_report.layer_energy_pj()):
+                    energies = [f"{e:.17g}" for e in (e_ann, e_snn, energy_ratio(e_ann, e_snn))]
+                    writer.writerow([row.name, f"{row.zeta:.9g}", row.f_ann, f"{row.f_snn:.9g}", *energies])
+                f_ann = sum(r.f_ann for r in layers)
+                f_snn = sum(r.f_snn for r in layers)
+                totals = [f"{e:.17g}" for e in (energy_report.e_ann_pj, energy_report.e_snn_pj, energy_report.ratio)]
+                writer.writerow(["total", f"{f_snn / f_ann:.9g}", f_ann, f"{f_snn:.9g}", *totals])
 
-        with open(paths["loss"], "w", newline="") as fh:
+        with modelio.atomic_write(paths["loss"], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["phase", "epoch", "loss", "test_accuracy"])
             for i, loss in enumerate(report.ann_loss_curve):

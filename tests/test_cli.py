@@ -5,11 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snnkit import cli, data, modelio, pipeline
 from snnkit.ann import AnnTrainConfig, CalibrationConfig
 from snnkit.config import DatasetConfig, ExperimentConfig, RunReport
 from snnkit.errors import ConfigurationError, EmissionError
+from snnkit.metrics import energy_ratio
 from snnkit.network import FullyConnected, NetworkSpec
 from snnkit.neuron import LayerParams
 from snnkit.training import TrainConfig
@@ -41,6 +43,22 @@ def tiny_config(root, paths, out_name="out", **overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def field_paths(node, prefix=()):
+    """Key paths of every field (sections, list items and leaves) in a config dict."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
 
 
 def write_config(root, cfg, name="config.json"):
@@ -82,6 +100,47 @@ class TestRunAll:
             rows = list(csv.DictReader(fh))
         total = [r for r in rows if r["layer"] == "total"][0]
         assert abs(float(total["ratio"]) - report.energy.ratio) < 1e-9
+
+    def test_energy_csv_has_no_blank_cells_and_layers_sum_to_total(self, tiny_root):
+        root, _ = tiny_root
+        report = pipeline.load_report(root / "out_a")
+        with open(root / "out_a" / pipeline.ENERGY_CSV) as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(value != "" for row in rows for value in row.values())
+        *layers, total = rows
+        assert [r["layer"] for r in layers] == [r.name for r in report.energy.layers]
+        for column in ("e_ann_pj", "e_snn_pj"):
+            layer_sum = sum(float(r[column]) for r in layers)
+            assert layer_sum == pytest.approx(float(total[column]), rel=1e-9), column
+        for row in layers:
+            assert float(row["ratio"]) == pytest.approx(energy_ratio(float(row["e_ann_pj"]), float(row["e_snn_pj"])))
+        f_ann = sum(float(r["ann_flops"]) for r in layers)
+        f_snn = sum(float(r["snn_flops"]) for r in layers)
+        assert float(total["input_activity"]) == pytest.approx(f_snn / f_ann, rel=1e-8)
+
+    def test_failed_emission_keeps_earlier_files(self, tiny_root, tmp_path, monkeypatch):
+        root, _ = tiny_root
+        report = pipeline.load_report(root / "out_a")
+        out = tmp_path / "emit"
+        pipeline.emit_report(report, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_writer = csv.writer
+        calls = []
+
+        def writer_then_fail(fh):
+            calls.append(fh)
+            if len(calls) == 2:  # energy.csv, with its temp file already open
+                raise OSError("disk full")
+            return real_writer(fh)
+
+        monkeypatch.setattr(pipeline.csv, "writer", writer_then_fail)
+        report.accuracy_ann = -1.0
+        with pytest.raises(EmissionError):
+            pipeline.emit_report(report, out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert (out / pipeline.ENERGY_CSV).read_bytes() == before[pipeline.ENERGY_CSV]
+        assert (out / pipeline.LOSS_CSV).read_bytes() == before[pipeline.LOSS_CSV]
+        assert json.loads((out / pipeline.REPORT_FILE).read_text())["accuracy_ann"] == -1.0
 
     def test_spike_csv_has_one_row_per_hidden_layer(self, tiny_root):
         root, _ = tiny_root
@@ -233,6 +292,48 @@ class TestExitCodes:
         cfg_path.write_text(json.dumps(d))
         assert cli.main(["train-snn", "--config", str(cfg_path)]) == 2
         assert "snn_train.epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("network", "num_classes", "ten"),
+            ("network", "total_timesteps", 2.5),
+            (None, "seed", "x"),
+            (None, "seed", -1),
+            (None, "eval_samples", -3),
+            (None, "eval_samples", 0),
+            ("calibration", "calib_encoding", "hybrid"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tiny_root, capsys, section, field, value):
+        root, paths = tiny_root
+        d = tiny_config(root, paths, "out_bad").to_dict()
+        (d[section] if section else d)[field] = value
+        cfg_path = root / "bad_value.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli.main(["eval", "--config", str(cfg_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_single_field_validates_or_is_a_config_error(self, tiny_root, data):
+        root, paths = tiny_root
+        d = tiny_config(root, paths).to_dict()
+        d["network"]["layers"] = [
+            {"type": "conv", "out_channels": 2, "kernel": 5, "stride": 1, "padding": 0},
+            {"type": "avgpool", "window": 2},
+            {"type": "dropout", "rate": 0.1},
+            {"type": "fc", "units": 10},
+        ]
+        path = data.draw(st.sampled_from(list(field_paths(d))), label="field")
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+        try:
+            ExperimentConfig.from_dict(d).validate()
+        except ConfigurationError:
+            pass
 
     def test_emission_error(self, tmp_path):
         report = RunReport(config={}, seed=0)

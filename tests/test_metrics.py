@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snnkit import numerics
-from snnkit.encoding import DIRECT, HYBRID, IntensityRange, encode_direct, encode_hybrid
+from snnkit.encoding import DIRECT, HYBRID, RATE, IntensityRange, encode_direct, encode_hybrid
 from snnkit.errors import ConfigurationError, ContractViolation
 from snnkit.metrics import EnergyCosts, EnergyReport, energy, flops, spike_activity
 from snnkit.network import (
@@ -158,6 +158,16 @@ class TestEnergy:
         assert report.layers[1].f_snn <= 4 * report.layers[1].f_ann + 1e-9
         for zeta in report.spike_activity:
             assert zeta <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("mode", [HYBRID, DIRECT, RATE])
+    def test_layer_energies_sum_to_totals(self, mode):
+        spec, counters, _ = self.toy(DIRECT)
+        report = energy(spec, counters, mode)
+        per_layer = report.layer_energy_pj()
+        assert sum(e for e, _ in per_layer) == pytest.approx(report.e_ann_pj, rel=1e-12)
+        assert sum(e for _, e in per_layer) == pytest.approx(report.e_snn_pj, rel=1e-12)
+        analog = report.layers[0].f_ann * report.e_mac_pj if mode != RATE else 0.0
+        assert per_layer[0][1] == pytest.approx(analog + report.layers[0].f_snn * report.e_ac_pj, rel=1e-12)
 
     def test_report_round_trip(self):
         spec, counters, _ = self.toy(HYBRID)

@@ -58,3 +58,24 @@ def test_trailing_garbage_rejected(tmp_path, rng):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(IngestionError, match="trailing"):
         modelio.load_params(path)
+
+
+def test_failed_save_keeps_the_earlier_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "model.bin"
+    modelio.save_params(path, sample_params(rng))
+    before = path.read_bytes()
+    real_pack = modelio.struct.pack
+    calls = []
+
+    def pack_then_fail(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise OSError("disk full")
+        return real_pack(*args)
+
+    monkeypatch.setattr(modelio.struct, "pack", pack_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        modelio.save_params(path, sample_params(rng))
+    assert len(calls) == 4
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]

@@ -121,7 +121,81 @@ class TestConvGradients:
             assert abs(analytic.flat[flat] - num) < 1e-5 * max(1.0, abs(num))
 
 
+def avgpool_reference(x, window):
+    """Pooling as a multi-axis numpy mean, the oracle for the strided-slice kernel."""
+    xb = x[None] if x.ndim == 3 else x
+    b, c, h, w = xb.shape
+    out = xb.reshape(b, c, h // window, window, w // window, window).mean(axis=(3, 5)).astype(x.dtype)
+    return out[0] if x.ndim == 3 else out
+
+
+def avgpool_grad_reference(dout, window):
+    return np.repeat(np.repeat(dout, window, axis=-2), window, axis=-1) / (window * window)
+
+
+def pool_cases():
+    """Random maps for windows 2-4: both dtypes, batched and single, magnitudes 1e-3..1e4, spike maps."""
+    rng = np.random.default_rng(2024)
+    for window in (2, 3, 4):
+        for dtype in (np.float32, np.float64):
+            for case in range(12):
+                shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                shape += (window * int(rng.integers(1, 5)), window * int(rng.integers(2, 5)))
+                if case % 3 == 2:
+                    x = (rng.random(shape) < 0.3).astype(dtype)
+                else:
+                    x = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 4, size=shape)).astype(dtype)
+                yield window, x[0] if case % 2 else x
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestAvgPool:
+    def test_matches_reference_bit_for_bit(self):
+        for window, x in pool_cases():
+            x0 = x.copy()
+            assert same_bits(numerics.avgpool2d(x, window), avgpool_reference(x, window)), (window, x.dtype, x.shape)
+            np.testing.assert_array_equal(x, x0)
+
+    def test_grad_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for window, x in pool_cases():
+            pooled = avgpool_reference(x, window)
+            dout = (rng.normal(size=pooled.shape) * 10.0 ** rng.uniform(-3, 4, size=pooled.shape)).astype(x.dtype)
+            want = avgpool_grad_reference(dout, window)
+            assert same_bits(numerics.avgpool2d_input_grad(dout, window), want), (window, x.dtype, x.shape)
+
+    def test_negative_zero_window_pools_to_positive_zero(self):
+        x = np.full((1, 2, 4, 4), -0.0, dtype=np.float32)
+        assert same_bits(numerics.avgpool2d(x, 2), avgpool_reference(x, 2))
+        assert not np.signbit(numerics.avgpool2d(x, 2)).any()
+
+    def test_single_column_output_agrees_to_rounding(self):
+        # When the pooled map is one column wide the multi-axis mean reduces
+        # each window as one flat run, not row by row, so the kernel agrees
+        # with it only to float32 rounding there.
+        rng = np.random.default_rng(3)
+        for window in (2, 3, 4):
+            x = rng.normal(size=(2, 3, 2 * window, window)).astype(np.float32)
+            got = numerics.avgpool2d(x, window)
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, avgpool_reference(x.astype(np.float64), window), rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        x = np.ones((1, 4, 4), dtype=np.float32)
+        x[0, 1, 2] = bad
+        with pytest.raises(NumericalError):
+            numerics.avgpool2d(x, 2)
+
+    def test_input_unmodified(self):
+        x = np.random.default_rng(4).normal(size=(2, 3, 6, 6)).astype(np.float32)
+        x0 = x.copy()
+        numerics.avgpool2d(x, 3)
+        np.testing.assert_array_equal(x, x0)
+
     def test_constant(self):
         out = numerics.avgpool2d(np.full((1, 4, 4), 2.5, dtype=np.float32), 2)
         np.testing.assert_allclose(out, np.full((1, 2, 2), 2.5))
