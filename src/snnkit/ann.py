@@ -35,14 +35,12 @@ class CalibrationConfig:
     num_images: int = 512
     scaling: float = 0.4
     calib_timesteps: int = 100
-    calib_leak: float = 1.0
 
     def __post_init__(self):
         require_count("calibration.num_images", self.num_images)
         require_count("calibration.calib_timesteps", self.calib_timesteps)
         require("calibration.percentile", self.percentile, 0 < self.percentile <= 100, "in (0, 100]")
         require("calibration.scaling", self.scaling, self.scaling > 0, "positive")
-        require("calibration.calib_leak", self.calib_leak, 0 <= self.calib_leak <= 1, "in [0, 1]")
 
 
 @dataclass
@@ -192,7 +190,8 @@ class _TopCollector:
     """Streaming keeper of the top-m values of a sample of known total size.
 
     The nearest-rank percentile at rank k equals the smallest of the largest
-    m = n - k + 1 values, so only that many need to be held in memory.
+    m = n - k + 1 values, so only that many are held after each ``add``. The
+    top-m multiset does not depend on the order the values arrive in.
     """
 
     def __init__(self, total_n: int, p: float):
@@ -202,30 +201,20 @@ class _TopCollector:
         self.keep = total_n - k + 1
         self.total_n = total_n
         self.seen = 0
-        self._pending = []
-        self._pending_size = 0
-        self._compact_at = max(self.keep, 4_000_000)
+        self._top = np.empty(0, dtype=np.float32)
 
     def add(self, chunk: np.ndarray):
         chunk = np.asarray(chunk, dtype=np.float32).ravel()
         self.seen += chunk.size
-        self._pending.append(chunk)
-        self._pending_size += chunk.size
-        if self._pending_size > self._compact_at:
-            self._compact()
-
-    def _compact(self):
-        merged = np.concatenate(self._pending)
+        merged = np.concatenate([self._top, chunk])
         if merged.size > self.keep:
             merged = np.partition(merged, merged.size - self.keep)[-self.keep :]
-        self._pending = [merged]
-        self._pending_size = merged.size
+        self._top = merged
 
     def result(self) -> float:
         if self.seen != self.total_n:
             raise ContractViolation(f"collector saw {self.seen} values, expected {self.total_n}")
-        self._compact()
-        return float(self._pending[0].min())
+        return float(self._top.min())
 
 
 def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.ndarray, cfg: CalibrationConfig):
@@ -233,8 +222,8 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
 
     Layer l's threshold is the percentile of the input currents it receives
     while layers 0..l-1 run as standard multi-spike LIF neurons with their
-    already-calibrated thresholds and ``cfg.calib_leak``, all driven by
-    direct encoding for ``cfg.calib_timesteps`` steps.
+    already-calibrated thresholds and unit leak, all driven by direct
+    encoding for ``cfg.calib_timesteps`` steps.
     """
     if len(sample_images) != cfg.num_images:
         raise ConfigurationError(
@@ -245,18 +234,16 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
     chunk = 64  # images simulated together
     thresholds = []
     for l, target in enumerate(stages):
-        below = [LayerParams(w, v, cfg.calib_leak) for w, v in zip(ann.weights, thresholds)]
+        below = [LayerParams(w, v, 1.0) for w, v in zip(ann.weights, thresholds)]
         collector = _TopCollector(counts[l] * len(sample_images) * cfg.calib_timesteps, cfg.percentile)
         for s in range(0, len(sample_images), chunk):
             x0 = sample_images[s : s + chunk]
             states = [NeuronState.zeros((len(x0),) + stage.out_shape) for stage in stages[:l]]
-            spikes = [np.zeros_like(state.membrane) for state in states]
             for _ in range(cfg.calib_timesteps):
                 x = x0
                 for i, p in enumerate(below):
                     x = network.apply_pre(stages[i], x, None)
-                    states[i], spikes[i] = lif_step(states[i], p, network.input_current(stages[i], p.weights, x), spikes[i])
-                    x = spikes[i]
+                    states[i], x = lif_step(states[i], p, network.input_current(stages[i], p.weights, x))
                 collector.add(network.input_current(target, ann.weights[l], network.apply_pre(target, x, None)))
         value = collector.result()
         if not value > 0:

@@ -19,6 +19,8 @@ HYBRID = "hybrid"
 DIRECT = "direct"
 RATE = "rate"
 ENCODERS = (HYBRID, DIRECT, RATE)
+# Encodings whose first layer reads the analog frame, charged as one dense MAC pass.
+ANALOG_INPUT = (HYBRID, DIRECT)
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,14 @@ class SpikeInputSequence:
     spikes: np.ndarray | None = None
 
     @property
+    def analog_steps(self) -> range:
+        """Timesteps that present the analog frame: t=1 for hybrid, every t for direct, none for rate."""
+        if self.mode not in ANALOG_INPUT:
+            return range(0)
+        last = self.total_timesteps if self.mode == DIRECT else 1
+        return range(1, last + 1)
+
+    @property
     def pixel_shape(self) -> tuple:
         if self.analog_frame is not None:
             return self.analog_frame.shape
@@ -64,11 +74,7 @@ class SpikeInputSequence:
         """Input current presented to the first layer at timestep t (1-based)."""
         if not 1 <= t <= self.total_timesteps:
             raise EncodingError(f"timestep {t} outside [1, {self.total_timesteps}]")
-        if self.mode == DIRECT:
-            return self.analog_frame
-        if self.mode == HYBRID and t == 1:
-            return self.analog_frame
-        return self.spikes[t - 1]
+        return self.analog_frame if t in self.analog_steps else self.spikes[t - 1]
 
 
 def _firing_times(intensity: np.ndarray, rng: IntensityRange, total_timesteps: int) -> np.ndarray:

@@ -16,16 +16,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .encoding import DIRECT, HYBRID, RATE
+from .encoding import ANALOG_INPUT, ENCODERS
 from .errors import ConfigurationError, ContractViolation
 from .network import ActivityCounters, NetworkSpec
 
 # 45 nm CMOS estimates at 0.9 V: 32-bit multiply 3.1 pJ + add 0.1 pJ per MAC,
 # add-only 0.1 pJ per AC.
 DEFAULT_ENERGY_COSTS = {"e_mac_pj": 3.2, "e_ac_pj": 0.1}
-
-# Encodings whose first layer reads the analog frame, charged as one dense MAC pass.
-ANALOG_INPUT = (HYBRID, DIRECT)
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def energy(
     """Compute-energy report from infer-mode activity counters."""
     if counters.samples <= 0:
         raise ContractViolation("energy accounting needs at least one evaluated sample")
-    if encoding_mode not in (HYBRID, DIRECT, RATE):
+    if encoding_mode not in ENCODERS:
         raise ConfigurationError(f"unknown encoding mode {encoding_mode!r}")
     f_ann = flops(spec)
     s = counters.samples

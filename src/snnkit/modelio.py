@@ -62,7 +62,11 @@ def _read_exact(fh, count, path, what):
 
 
 def load_params(path) -> list:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:  # a directory, a missing file, no permission
+        raise IngestionError(f"{path}: cannot read model file: {exc.strerror or exc}") from exc
+    with fh:
         magic = _read_exact(fh, 4, path, "magic")
         if magic != MAGIC:
             raise IngestionError(f"{path}: bad model magic {magic!r} at byte offset 0")

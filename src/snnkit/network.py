@@ -23,12 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .encoding import DIRECT, HYBRID, SpikeInputSequence
+from .encoding import SpikeInputSequence
 from .errors import ConfigurationError, ContractViolation, require, require_count
-from .neuron import INFER, TRAIN, NeuronState, OutputState, lif_step, output_step, single_spike_step
+from .neuron import NeuronState, OutputState, lif_gate, lif_step, output_step, single_spike_gate, single_spike_step
 
 SINGLE_SPIKE = "single_spike"
 MULTI_SPIKE = "multi_spike"
+TRAIN = "train"
+INFER = "infer"
 
 
 @dataclass(frozen=True)
@@ -205,20 +207,18 @@ class TemporalTrace:
 
     Indexing: hidden weighted layers are 0..H-1 in network order; the output
     layer's per-step inputs and membranes are kept separately. Every list
-    over time has length T.
+    over time has length T. BPTT needs a train-mode trace: only that one
+    carries the dropout masks the forward pass applied.
     """
 
     spec: "NetworkSpec"
     mode: str
-    neuron_model: str
-    total_timesteps: int
     layer_inputs: list        # [weighted_idx][t-1] input fed to that layer's weights
     membranes: list           # [hidden_idx][t-1] membrane after the step
     norm_potentials: list     # [hidden_idx][t-1]
     reset_gates: list         # [hidden_idx][t-1] gate used at that step (bool)
     hidden_spikes: list       # [hidden_idx][t-1]
     output_membranes: list    # [t-1] output accumulator after the step
-    output_state: OutputState
     dropout_masks: list       # per descriptor index, None when absent
 
 
@@ -228,16 +228,15 @@ class ActivityCounters:
 
     ``accumulate_events[l]`` counts weight accumulations actually triggered at
     weighted layer l: one per nonzero input element read, times that layer's
-    per-read fan-out (output channels for conv, output units for fc). For the
-    first layer the analog t=1 pass of hybrid/direct inputs is tallied
-    separately, since the energy model charges it as a dense MAC pass.
+    per-read fan-out (output channels for conv, output units for fc). The
+    first layer's analog steps are not counted: the energy model charges the
+    analog frame as one dense MAC pass.
     """
 
     spec: NetworkSpec
     samples: int = 0
     output_spikes: list = field(default_factory=list)        # per hidden weighted layer
     accumulate_events: list = field(default_factory=list)    # per weighted layer
-    first_layer_analog_events: int = 0
     per_neuron_spikes: list | None = None
 
     def __post_init__(self):
@@ -404,22 +403,22 @@ def forward(
 
     stages = spec.stages
     n_hidden = len(stages) - 1
-    prev_spikes = [np.zeros_like(s.membrane) for s in hidden_states]  # multi-spike reset inputs
+    if neuron_model == SINGLE_SPIKE:
+        step, reset_gate = single_spike_step, single_spike_gate
+    else:
+        step, reset_gate = lif_step, lif_gate
 
     trace = None
     if with_trace:
         trace = TemporalTrace(
             spec=spec,
             mode=mode,
-            neuron_model=neuron_model,
-            total_timesteps=spec.total_timesteps,
             layer_inputs=[[] for _ in stages],
             membranes=[[] for _ in range(n_hidden)],
             norm_potentials=[[] for _ in range(n_hidden)],
             reset_gates=[[] for _ in range(n_hidden)],
             hidden_spikes=[[] for _ in range(n_hidden)],
             output_membranes=[],
-            output_state=out_state,
             dropout_masks=masks,
         )
     if counters is not None:
@@ -430,8 +429,7 @@ def forward(
                     [counters.per_neuron_spikes[h], np.zeros((batch,) + stages[h].out_shape, np.int32)]
                 )
 
-    analog_mac = encoded.mode in (HYBRID, DIRECT)  # dense MAC pass at t=1
-
+    analog_steps = encoded.analog_steps
     for t in range(1, spec.total_timesteps + 1):
         x = np.asarray(encoded.input_at(t), dtype=dtype)
         if not batched:
@@ -441,16 +439,8 @@ def forward(
             x = apply_pre(stage, x, masks)
             cols = unfold(stage, x)
             drive = current(stage, p.weights, cols)
-            if counters is not None:
-                events = int(np.count_nonzero(cols)) * p.weights.shape[0]
-                if i == 0 and analog_mac:
-                    if t == 1:
-                        counters.first_layer_analog_events += events
-                    elif encoded.mode == HYBRID:
-                        counters.accumulate_events[0] += events
-                    # direct mode replays the same analog pass; nothing new accumulates
-                else:
-                    counters.accumulate_events[i] += events
+            if counters is not None and (i or t not in analog_steps):
+                counters.accumulate_events[i] += int(np.count_nonzero(cols)) * p.weights.shape[0]
             if with_trace:
                 trace.layer_inputs[i].append(x)
 
@@ -459,20 +449,12 @@ def forward(
                 if with_trace:
                     trace.output_membranes.append(out_state.membrane)
                 continue
-            state = hidden_states[i]
-            if neuron_model == SINGLE_SPIKE:
-                if with_trace:
-                    trace.reset_gates[i].append(state.norm_potential > 0)
-                state, spikes = single_spike_step(state, p, drive, mode)
-            else:
-                if with_trace:
-                    trace.reset_gates[i].append(prev_spikes[i] > 0)
-                state, spikes = lif_step(state, p, drive, prev_spikes[i])
-                prev_spikes[i] = spikes
-            hidden_states[i] = state
             if with_trace:
-                trace.membranes[i].append(state.membrane)
-                trace.norm_potentials[i].append(state.norm_potential)
+                trace.reset_gates[i].append(reset_gate(hidden_states[i], p))
+            hidden_states[i], spikes = step(hidden_states[i], p, drive)
+            if with_trace:
+                trace.membranes[i].append(hidden_states[i].membrane)
+                trace.norm_potentials[i].append(hidden_states[i].norm_potential)
                 trace.hidden_spikes[i].append(spikes)
             if counters is not None:
                 counters.output_spikes[i] += int(np.count_nonzero(spikes))
@@ -480,8 +462,6 @@ def forward(
                     counters.per_neuron_spikes[i][-batch:] += spikes.astype(np.int32)
             x = spikes
 
-    if with_trace:
-        trace.output_state = out_state
     return out_state, trace
 
 

@@ -4,8 +4,10 @@ Three step rules live here: the standard multi-spike LIF with soft reset
 (used as the conversion baseline), the single-spike LIF for hidden layers,
 and the leak-free output accumulator that records first-crossing spike
 times. The triangular surrogate used in place of the spike derivative is
-also defined here. All step functions are shape-agnostic, so a leading
-batch axis passes straight through.
+also defined here. Each hidden rule maps (state, params, current) to the
+next state and its spikes; its reset gate is read from the state alone, so
+the caller keeps no spike history. All step functions are shape-agnostic,
+so a leading batch axis passes straight through.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-
-TRAIN = "train"
-INFER = "infer"
 
 
 @dataclass
@@ -76,14 +75,20 @@ class OutputState:
         )
 
 
-def lif_step(state: NeuronState, params: LayerParams, input_current, prev_spikes):
+def lif_gate(state: NeuronState, params: LayerParams):
+    """Soft-reset gate of ``lif_step``: the previous step's spikes, read from the membrane."""
+    return state.membrane > params.threshold
+
+
+def lif_step(state: NeuronState, params: LayerParams, input_current):
     """Standard LIF update with soft reset; multiple spikes allowed.
 
-    membrane <- leak * membrane + current - threshold * prev_spikes, and a
-    spike fires wherever the new membrane strictly exceeds the threshold.
+    membrane <- leak * membrane + current - threshold * gate, and a spike
+    fires wherever the new membrane strictly exceeds the threshold. The gate
+    is that same test on the previous membrane, i.e. the previous spikes.
     """
     v = params.threshold
-    u = params.leak * state.membrane + input_current - v * np.asarray(prev_spikes, dtype=state.membrane.dtype)
+    u = params.leak * state.membrane + input_current - v * lif_gate(state, params).astype(state.membrane.dtype)
     spikes = u > v
     new = NeuronState(
         membrane=u,
@@ -93,23 +98,24 @@ def lif_step(state: NeuronState, params: LayerParams, input_current, prev_spikes
     return new, spikes.astype(u.dtype)
 
 
-def single_spike_step(state: NeuronState, params: LayerParams, input_current, mode: str = TRAIN):
+def single_spike_gate(state: NeuronState, params: LayerParams):
+    """Reset gate of ``single_spike_step``: the previous norm_potential is positive."""
+    return state.norm_potential > 0
+
+
+def single_spike_step(state: NeuronState, params: LayerParams, input_current):
     """Single-spike LIF update.
 
-    The reset gate is (previous norm_potential > 0) and may stay active over
-    several steps in train mode, where the membrane recursion keeps running
-    after the spike. In infer mode a neuron that has spiked is frozen: no
-    further updates and no further spikes.
+    The ``has_spiked`` gate lets each neuron fire at most once per sample.
+    The membrane recursion keeps running after the spike, in training and
+    inference alike, so BPTT sees a live membrane; the reset gate may stay
+    active over several steps.
     """
     v = params.threshold
-    gate = state.norm_potential > 0
+    gate = single_spike_gate(state, params)
     u = params.leak * state.membrane + input_current - v * gate.astype(state.membrane.dtype)
     z = u / v - 1.0
     spikes = (z > 0) & ~state.has_spiked
-    if mode == INFER:
-        frozen = state.has_spiked
-        u = np.where(frozen, state.membrane, u)
-        z = np.where(frozen, state.norm_potential, z)
     new = NeuronState(membrane=u, norm_potential=z, has_spiked=state.has_spiked | spikes)
     return new, spikes.astype(u.dtype)
 

@@ -20,7 +20,7 @@ from . import data as data_mod
 from . import modelio, training
 from .config import ExperimentConfig, RunReport
 from .encoding import DIRECT, HYBRID, RATE, IntensityRange, encode_direct, encode_hybrid, encode_poisson_rate
-from .errors import ConfigurationError, EmissionError, SnnkitError
+from .errors import ConfigurationError, EmissionError, IngestionError, SnnkitError
 from .metrics import EnergyCosts, energy, energy_ratio
 from .network import MULTI_SPIKE, ActivityCounters, NetworkSpec, evaluate
 from .neuron import LayerParams
@@ -175,8 +175,16 @@ class Experiment:
             path = self._path(THRESHOLDS_FILE)
             if not os.path.exists(path):
                 raise ConfigurationError(f"no thresholds at {path}; run calibrate first")
-            with open(path) as fh:
-                self.thresholds = json.load(fh)["thresholds"]
+            try:
+                with open(path) as fh:
+                    thresholds = json.load(fh)["thresholds"]
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise IngestionError(f"{path}: unreadable thresholds file: {exc!r}") from exc
+            if not isinstance(thresholds, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in thresholds
+            ):
+                raise IngestionError(f"{path}: 'thresholds' must be a list of numbers, got {thresholds!r}")
+            self.thresholds = thresholds
         return self.thresholds
 
     def convert(self):

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import network
 from .errors import ConfigurationError, ContractViolation, TrainingError, require, require_count
-from .network import SINGLE_SPIKE, NetworkSpec, TemporalTrace, evaluate, forward
-from .neuron import TRAIN, LayerParams, OutputState, surrogate_grad
+from .network import SINGLE_SPIKE, TRAIN, NetworkSpec, TemporalTrace, evaluate, forward
+from .neuron import LayerParams, OutputState, surrogate_grad
 
 
 @dataclass
@@ -142,7 +142,7 @@ def output_layer_grads(trace: TemporalTrace, loss: HybridLossResult, params: lis
         x_sum += x.reshape(batch, -1)
     grad_u = loss.grad_u.reshape(batch, -1)
     d_weights = np.einsum("bn,bf->nf", grad_u, x_sum) / batch
-    dtdv = spike_time_threshold_grad(trace.output_membranes, params[last].threshold, band, trace.total_timesteps)
+    dtdv = spike_time_threshold_grad(trace.output_membranes, params[last].threshold, band, trace.spec.total_timesteps)
     grad_t = loss.grad_t.reshape(batch, -1)
     d_threshold = float((grad_t * dtdv).sum() / batch)
     return d_weights.astype(params[last].weights.dtype), d_threshold
@@ -161,7 +161,7 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
     stages = trace.spec.stages
     masks = trace.dropout_masks
     n_hidden = len(stages) - 1
-    total_t = trace.total_timesteps
+    total_t = trace.spec.total_timesteps
     batch = loss.grad_u.reshape(-1, trace.spec.num_classes).shape[0]
 
     grads = GradientSet(weight=[None] * n_hidden, threshold=[0.0] * n_hidden, leak=[0.0] * n_hidden)
@@ -299,6 +299,7 @@ def train_snn(
             if not math.isfinite(loss.loss):
                 raise TrainingError(f"SNN training diverged at epoch {epoch}: loss={loss.loss}")
             grads = backward(trace, params, loss, config)
+            del trace  # free this batch's trace before the next forward builds one
             params, velocity = optimizer_step(params, grads, config, epoch, velocity)
             losses.append(loss.loss)
         history["loss"].append(float(np.mean(losses)))
@@ -341,9 +342,9 @@ def _float64_encoded(encoded):
     )
 
 
-def _spike_signature(trace: TemporalTrace):
+def _spike_signature(out: OutputState, trace: TemporalTrace):
     spikes = tuple(arr.tobytes() for layer in trace.hidden_spikes for arr in layer)
-    return spikes, trace.output_state.spike_time.tobytes()
+    return spikes, out.spike_time.tobytes()
 
 
 def _perturbed(params: list, component: str, index, delta: float) -> list:
@@ -386,10 +387,9 @@ def finite_difference_check(
         out, trace = forward(
             spec, ps, enc, mode=TRAIN, rng=np.random.default_rng(0), neuron_model=neuron_model
         )
-        loss = hybrid_loss(out, label_onehot)
-        return loss, trace
+        return hybrid_loss(out, label_onehot), _spike_signature(out, trace), trace
 
-    loss0, trace0 = run(base_params)
+    loss0, sig0, trace0 = run(base_params)
     grads = backward(trace0, base_params, loss0, cfg)
     if component == "weight":
         layer, flat = index
@@ -399,10 +399,9 @@ def finite_difference_check(
     else:
         analytic = float(grads.leak[index])
 
-    sig0 = _spike_signature(trace0)
-    loss_hi, trace_hi = run(_perturbed(base_params, component, index, +eps))
-    loss_lo, trace_lo = run(_perturbed(base_params, component, index, -eps))
-    boundary = _spike_signature(trace_hi) != sig0 or _spike_signature(trace_lo) != sig0
+    loss_hi, sig_hi, _ = run(_perturbed(base_params, component, index, +eps))
+    loss_lo, sig_lo, _ = run(_perturbed(base_params, component, index, -eps))
+    boundary = sig_hi != sig0 or sig_lo != sig0
 
     numeric = (loss_hi.per_sample.sum() - loss_lo.per_sample.sum()) / (2.0 * eps)
     numeric /= loss0.per_sample.size  # match the batch-mean convention of the analytic side

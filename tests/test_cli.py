@@ -274,7 +274,6 @@ class TestExitCodes:
             ("ann_train", "base_lr", 0.0),
             ("calibration", "calib_timesteps", 0),
             ("calibration", "num_images", 0),
-            ("calibration", "calib_leak", 1.5),
         ],
     )
     def test_out_of_range_config_is_rejected(self, tiny_root, section, field, value):
@@ -303,6 +302,7 @@ class TestExitCodes:
             (None, "eval_samples", -3),
             (None, "eval_samples", 0),
             ("calibration", "calib_encoding", "hybrid"),
+            ("calibration", "calib_leak", 1.5),
         ],
     )
     def test_bad_value_exits_2(self, tiny_root, capsys, section, field, value):
@@ -313,6 +313,38 @@ class TestExitCodes:
         cfg_path.write_text(json.dumps(d))
         assert cli.main(["eval", "--config", str(cfg_path)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{trunc",
+            "[0.5, 0.5]",
+            '{"thresh": [0.5, 0.5]}',
+            '{"thresholds": 0.5}',
+            '{"thresholds": {"conv1": 0.5}}',
+            '{"thresholds": ["a", "b"]}',
+            '{"thresholds": [true, 0.5]}',
+        ],
+        ids=["bad-json", "not-an-object", "no-key", "number", "object", "strings", "bool"],
+    )
+    def test_malformed_thresholds_is_ingestion_error(self, tiny_root, capsys, content):
+        root, paths = tiny_root
+        cfg = tiny_config(root, paths, "out_thresholds")
+        cfg_path = write_config(root, cfg, "bad_thresholds.json")
+        out_dir = root / "out_thresholds"
+        out_dir.mkdir(exist_ok=True)
+        zero = [LayerParams(np.zeros(s, np.float32), 1.0, 1.0) for s in cfg.network.weight_shapes()]
+        modelio.save_params(out_dir / pipeline.ANN_MODEL, zero)
+        (out_dir / pipeline.THRESHOLDS_FILE).write_text(content)
+        assert cli.main(["convert", "--config", cfg_path]) == 3
+        assert pipeline.THRESHOLDS_FILE in capsys.readouterr().err
+
+    def test_model_path_naming_a_directory_is_ingestion_error(self, tiny_root, capsys):
+        root, paths = tiny_root
+        cfg_path = write_config(root, tiny_config(root, paths, "out_dir_model"), "dir_model.json")
+        (root / "out_dir_model").mkdir(exist_ok=True)
+        assert cli.main(["eval", "--config", cfg_path, "--model", "."]) == 3
+        assert "cannot read model file" in capsys.readouterr().err
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())

@@ -148,3 +148,20 @@ def test_intensity_range_from_images():
 def test_intensity_range_rejects_inverted_bounds():
     with pytest.raises(EncodingError):
         IntensityRange(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "encoder,analog",
+    [
+        (lambda img: encode_hybrid(img, UNIT, 4), [1]),
+        (lambda img: encode_direct(img, 4), [1, 2, 3, 4]),
+        (lambda img: encode_poisson_rate(img, 4, numerics.make_rng(0)), []),
+    ],
+    ids=["hybrid", "direct", "rate"],
+)
+def test_analog_steps_are_the_steps_that_present_the_frame(encoder, analog):
+    seq = encoder(np.array([0.2, 0.9], dtype=np.float32))
+    assert list(seq.analog_steps) == analog
+    assert (seq.mode in encoding.ANALOG_INPUT) == bool(analog)
+    for t in range(1, 5):
+        assert (seq.input_at(t) is seq.analog_frame) == (t in analog)

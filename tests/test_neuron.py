@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from snnkit.errors import ConfigurationError
 from snnkit.neuron import (
-    INFER,
-    TRAIN,
     LayerParams,
     NeuronState,
     OutputState,
@@ -28,19 +26,20 @@ def state_with(membrane, threshold):
 class TestLifStep:
     def test_integrates_and_spikes(self):
         s = state_with([0.5], 1.0)
-        new, spikes = lif_step(s, params_for(1.0, 1.0), np.array([0.6], np.float32), np.array([0.0], np.float32))
+        new, spikes = lif_step(s, params_for(1.0, 1.0), np.array([0.6], np.float32))
         assert new.membrane[0] == pytest.approx(1.1)
         assert spikes[0] == 1.0
 
     def test_pure_leak_below_threshold(self):
         s = state_with([0.8], 1.0)
-        new, spikes = lif_step(s, params_for(1.0, 0.5), np.array([0.0], np.float32), np.array([0.0], np.float32))
+        new, spikes = lif_step(s, params_for(1.0, 0.5), np.array([0.0], np.float32))
         assert new.membrane[0] == pytest.approx(0.4)
         assert spikes[0] == 0.0
 
     def test_soft_reset_keeps_surplus(self):
+        # a membrane above threshold is the previous step's spike, so it resets
         s = state_with([1.1], 1.0)
-        new, spikes = lif_step(s, params_for(1.0, 1.0), np.array([0.0], np.float32), np.array([1.0], np.float32))
+        new, spikes = lif_step(s, params_for(1.0, 1.0), np.array([0.0], np.float32))
         assert new.membrane[0] == pytest.approx(0.1)
         assert spikes[0] == 0.0
 
@@ -50,39 +49,39 @@ class TestLifStep:
         p = params_for(threshold=1.0, leak=1.0)
         c = 0.37
         state = state_with([0.0], 1.0)
-        prev = np.array([0.0], np.float32)
         total_spikes = 0
         t_steps = 40
         for _ in range(t_steps):
-            state, prev = lif_step(state, p, np.array([c], np.float32), prev)
-            total_spikes += int(prev[0])
+            state, spikes = lif_step(state, p, np.array([c], np.float32))
+            total_spikes += int(spikes[0])
         assert state.membrane[0] + 1.0 * total_spikes == pytest.approx(c * t_steps, abs=1e-5)
 
 
 class TestSingleSpikeStep:
-    def run_sequence(self, currents, mode, threshold=1.0, leak=1.0):
+    def run_sequence(self, currents, threshold=1.0, leak=1.0):
         p = params_for(threshold, leak)
         state = NeuronState.zeros((1,))
         spikes = []
         for c in currents:
-            state, s = single_spike_step(state, p, np.array([c], np.float32), mode)
+            state, s = single_spike_step(state, p, np.array([c], np.float32))
             spikes.append(int(s[0]))
         return state, spikes
 
     def test_first_crossing_at_t3(self):
-        _, spikes = self.run_sequence([0.4, 0.4, 0.4], TRAIN)
+        _, spikes = self.run_sequence([0.4, 0.4, 0.4])
         assert spikes == [0, 0, 1]
 
     def test_fires_at_most_once_both_modes(self):
-        # drive above threshold at t=2, below, then above again at t=4
-        currents = [0.0, 1.5, -3.0, 4.0]
-        for mode in (TRAIN, INFER):
-            _, spikes = self.run_sequence(currents, mode)
-            assert spikes == [0, 1, 0, 0]
+        # drive above threshold at t=2, below, then above again at t=4; the
+        # has_spiked gate alone holds the one spike (training and inference
+        # run the same rule)
+        state, spikes = self.run_sequence([0.0, 1.5, -3.0, 4.0])
+        assert spikes == [0, 1, 0, 0]
+        assert state.norm_potential[0] > 0 and state.has_spiked[0]
 
     def test_norm_potential_arithmetic(self):
         state = state_with([0.0], 1.0)
-        new, _ = single_spike_step(state, params_for(1.0, 1.0), np.array([1.2], np.float32), TRAIN)
+        new, _ = single_spike_step(state, params_for(1.0, 1.0), np.array([1.2], np.float32))
         assert new.norm_potential[0] == pytest.approx(0.2)
 
     def test_z_consistency_invariant(self):
@@ -90,30 +89,20 @@ class TestSingleSpikeStep:
         p = params_for(threshold=0.7, leak=0.9)
         state = NeuronState.zeros((5,))
         for _ in range(10):
-            state, _ = single_spike_step(state, p, rng.normal(size=5).astype(np.float32), TRAIN)
+            state, _ = single_spike_step(state, p, rng.normal(size=5).astype(np.float32))
             np.testing.assert_allclose(state.norm_potential * 0.7 + 0.7, state.membrane, atol=1e-5)
 
     def test_train_mode_keeps_updating_after_spike(self):
-        state, _ = self.run_sequence([1.5, 0.5], TRAIN)[0], None
         # after the spike at t=1 the membrane keeps following the recursion
         p = params_for()
         s = NeuronState.zeros((1,))
-        s, sp1 = single_spike_step(s, p, np.array([1.5], np.float32), TRAIN)
+        s, sp1 = single_spike_step(s, p, np.array([1.5], np.float32))
         m1 = s.membrane[0]
-        s, sp2 = single_spike_step(s, p, np.array([0.5], np.float32), TRAIN)
+        s, sp2 = single_spike_step(s, p, np.array([0.5], np.float32))
         assert sp1[0] == 1.0 and sp2[0] == 0.0
         # reset gate was active, so membrane moved: 1.5 + 0.5 - 1.0
         assert s.membrane[0] == pytest.approx(1.0)
         assert m1 == pytest.approx(1.5)
-
-    def test_infer_mode_freezes_after_spike(self):
-        p = params_for()
-        s = NeuronState.zeros((1,))
-        s, _ = single_spike_step(s, p, np.array([1.5], np.float32), INFER)
-        frozen = s.membrane.copy()
-        s, spikes = single_spike_step(s, p, np.array([5.0], np.float32), INFER)
-        np.testing.assert_array_equal(s.membrane, frozen)
-        assert spikes[0] == 0.0
 
 
 class TestOutputStep:
