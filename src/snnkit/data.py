@@ -11,6 +11,7 @@ any external download.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -58,37 +59,55 @@ def normalize_dataset(train01, train_labels, test01, test_labels) -> Dataset:
     )
 
 
-def _read_exact(fh, count, path, what):
-    data = fh.read(count)
-    if len(data) != count:
+def open_input(path, what: str):
+    """Open ``path`` for binary reading; a directory or an unreadable path is an IngestionError."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read {what}: {exc.strerror or exc}") from exc
+
+
+def read_exact(fh, count, path, what):
+    """Read ``count`` bytes, after checking that the file still holds that many.
+
+    Checking first keeps a corrupt size field from asking for a huge read.
+    """
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    if count > left:
         raise IngestionError(
-            f"{path}: truncated while reading {what} at byte offset {fh.tell() - len(data)}"
+            f"{path}: truncated while reading {what} at byte offset {offset} ({count} bytes declared, {left} left)"
         )
-    return data
+    return fh.read(count)
+
+
+def require_end(fh, path):
+    """Reject bytes after the last field a header declared."""
+    if fh.read(1):
+        raise IngestionError(f"{path}: trailing bytes at byte offset {fh.tell() - 1}")
 
 
 def read_idx_images(path) -> np.ndarray:
     """Parse an IDX image tensor into float32 [N,1,rows,cols] scaled to [0,1]."""
-    with open(path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, path, "magic"))[0]
+    with open_input(path, "IDX image file") as fh:
+        magic = struct.unpack(">I", read_exact(fh, 4, path, "magic"))[0]
         if magic != IDX_IMAGE_MAGIC:
             raise IngestionError(f"{path}: bad image magic 0x{magic:08x} at byte offset 0")
-        n, rows, cols = struct.unpack(">III", _read_exact(fh, 12, path, "dimensions"))
-        raw = _read_exact(fh, n * rows * cols, path, "pixel data")
-        extra = fh.read(1)
-        if extra:
-            raise IngestionError(f"{path}: trailing bytes at byte offset {fh.tell() - 1}")
+        n, rows, cols = struct.unpack(">III", read_exact(fh, 12, path, "dimensions"))
+        raw = read_exact(fh, n * rows * cols, path, "pixel data")
+        require_end(fh, path)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
     return pixels.astype(np.float32) / 255.0
 
 
 def read_idx_labels(path, num_classes: int = 10) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, path, "magic"))[0]
+    with open_input(path, "IDX label file") as fh:
+        magic = struct.unpack(">I", read_exact(fh, 4, path, "magic"))[0]
         if magic != IDX_LABEL_MAGIC:
             raise IngestionError(f"{path}: bad label magic 0x{magic:08x} at byte offset 0")
-        n = struct.unpack(">I", _read_exact(fh, 4, path, "count"))[0]
-        raw = _read_exact(fh, n, path, "labels")
+        n = struct.unpack(">I", read_exact(fh, 4, path, "count"))[0]
+        raw = read_exact(fh, n, path, "labels")
+        require_end(fh, path)
     labels = np.frombuffer(raw, dtype=np.uint8)
     bad = np.nonzero(labels >= num_classes)[0]
     if bad.size:
@@ -118,7 +137,7 @@ def read_cifar_binary(paths, num_classes: int = 10):
     images = []
     labels = []
     for path in paths:
-        with open(path, "rb") as fh:
+        with open_input(path, "CIFAR file") as fh:
             raw = fh.read()
         if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES:
             raise IngestionError(

@@ -10,12 +10,14 @@ half-written file.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
 import numpy as np
 
-from .errors import IngestionError
+from .data import open_input, read_exact, require_end
+from .errors import ConfigurationError, IngestionError
 from .neuron import LayerParams
 
 MAGIC = b"SNNP"
@@ -52,37 +54,24 @@ def save_params(path, params: list):
             fh.write(w.tobytes())
 
 
-def _read_exact(fh, count, path, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise IngestionError(
-            f"{path}: truncated model file while reading {what} at byte offset {fh.tell() - len(data)}"
-        )
-    return data
-
-
 def load_params(path) -> list:
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:  # a directory, a missing file, no permission
-        raise IngestionError(f"{path}: cannot read model file: {exc.strerror or exc}") from exc
-    with fh:
-        magic = _read_exact(fh, 4, path, "magic")
+    with open_input(path, "model file") as fh:
+        magic = read_exact(fh, 4, path, "magic")
         if magic != MAGIC:
             raise IngestionError(f"{path}: bad model magic {magic!r} at byte offset 0")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        version, count = struct.unpack("<II", read_exact(fh, 8, path, "header"))
         if version != VERSION:
             raise IngestionError(f"{path}: unsupported model version {version}")
         params = []
         for _ in range(count):
-            ndim = struct.unpack("<I", _read_exact(fh, 4, path, "ndim"))[0]
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "shape"))
-            threshold, leak = struct.unpack("<ff", _read_exact(fh, 8, path, "scalars"))
-            n = int(np.prod(shape)) if ndim else 1
-            raw = _read_exact(fh, 4 * n, path, "weights")
+            ndim = struct.unpack("<I", read_exact(fh, 4, path, "ndim"))[0]
+            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, path, "shape"))
+            threshold, leak = struct.unpack("<ff", read_exact(fh, 8, path, "scalars"))
+            raw = read_exact(fh, 4 * math.prod(shape), path, "weights")
             weights = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-            params.append(LayerParams(weights=weights, threshold=float(threshold), leak=float(leak)))
-        extra = fh.read(1)
-        if extra:
-            raise IngestionError(f"{path}: trailing bytes at byte offset {fh.tell() - 1}")
+            try:
+                params.append(LayerParams(weights=weights, threshold=float(threshold), leak=float(leak)))
+            except ConfigurationError as exc:  # a threshold or leak out of range
+                raise IngestionError(f"{path}: layer {len(params)}: {exc}") from exc
+        require_end(fh, path)
     return params

@@ -332,24 +332,10 @@ def input_current(stage: Stage, weights, x):
 
 
 def weight_grad(stage: Stage, d_out, unfolded):
-    """Weight gradient of one batch from the unfolded operand its forward pass kept."""
+    """Weight gradient summed over the batch, from the output adjoint and the unfolded operand."""
     if isinstance(stage.layer, Conv):
-        b, co = d_out.shape[:2]
-        return np.einsum("bol,bil->oi", d_out.reshape(b, co, -1), unfolded).reshape(stage.weight_shape)
+        return numerics.conv2d_weight_grad(d_out, unfolded).reshape(stage.weight_shape)
     return d_out.T @ unfolded
-
-
-def step_weight_grad(stage: Stage, d_out, x):
-    """One timestep's weight gradient from the operand input the trace kept.
-
-    This is BPTT's per-step form. Its fc einsum sums in a different order
-    from ``weight_grad``'s GEMM, so the two stay apart to keep both the ANN
-    and the fine-tuned network bit-identical.
-    """
-    layer = stage.layer
-    if isinstance(layer, Conv):
-        return numerics.conv2d_weight_grad(d_out, x, layer.kernel, layer.stride, layer.padding)
-    return np.einsum("bo,bf->of", d_out.reshape(len(d_out), -1), x.reshape(len(x), -1))
 
 
 def input_adjoint(stage: Stage, weights, d_out):

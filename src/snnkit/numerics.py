@@ -115,12 +115,13 @@ def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, in_shape, stride: i
     return col2im(dcols, in_shape, k, stride, padding)
 
 
-def conv2d_weight_grad(dout: np.ndarray, x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Gradient of a convolution w.r.t. its kernel, summed over the batch."""
-    b, co, ho, wo = dout.shape
-    cols = im2col(x, kernel, stride, padding)
-    dmat = np.einsum("bol,bil->oi", dout.reshape(b, co, ho * wo), cols)
-    return dmat.reshape(co, x.shape[1], kernel, kernel)
+def conv2d_weight_grad(dout: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Kernel gradient as a (Co, Ci*k*k) matrix, summed over the batch.
+
+    ``cols`` are the im2col columns of the forward input, (B, Ci*k*k, Ho*Wo).
+    """
+    b, co = dout.shape[:2]
+    return np.matmul(dout.reshape(b, co, -1), cols.transpose(0, 2, 1)).sum(0)
 
 
 def avgpool2d(x, window: int) -> np.ndarray:

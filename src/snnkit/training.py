@@ -136,12 +136,10 @@ def spike_time_threshold_grad(output_membranes: list, threshold: float, band: fl
 def output_layer_grads(trace: TemporalTrace, loss: HybridLossResult, params: list, band: float):
     """Exact-path weight gradient and boxcar threshold gradient for the output layer."""
     last = len(params) - 1
-    batch = trace.layer_inputs[last][0].shape[0]
-    x_sum = np.zeros_like(trace.layer_inputs[last][0].reshape(batch, -1))
-    for x in trace.layer_inputs[last]:
-        x_sum += x.reshape(batch, -1)
-    grad_u = loss.grad_u.reshape(batch, -1)
-    d_weights = np.einsum("bn,bf->nf", grad_u, x_sum) / batch
+    stage = trace.spec.stages[last]
+    x_sum = sum(network.unfold(stage, x) for x in trace.layer_inputs[last])
+    batch = len(x_sum)
+    d_weights = network.weight_grad(stage, loss.grad_u.reshape(batch, -1), x_sum) / batch
     dtdv = spike_time_threshold_grad(trace.output_membranes, params[last].threshold, band, trace.spec.total_timesteps)
     grad_t = loss.grad_t.reshape(batch, -1)
     d_threshold = float((grad_t * dtdv).sum() / batch)
@@ -194,7 +192,7 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
             u_prev = trace.membranes[h][t - 2] if t > 1 else np.zeros_like(u_t)
             gate = trace.reset_gates[h][t - 1].astype(d_z.dtype)
 
-            d_w += network.step_weight_grad(stage, d_z / v, x_t)
+            d_w += network.weight_grad(stage, d_z / v, network.unfold(stage, x_t))
             if h:  # nothing reads the first layer's input adjoint
                 input_deltas[t - 1] = network.input_adjoint(stage, p.weights, d_membrane)
 

@@ -346,6 +346,17 @@ class TestExitCodes:
         assert cli.main(["eval", "--config", cfg_path, "--model", "."]) == 3
         assert "cannot read model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["idx", "cifar-binary"])
+    def test_dataset_path_naming_a_directory_is_ingestion_error(self, tiny_root, capsys, fmt):
+        root, paths = tiny_root
+        cfg = tiny_config(root, dict(paths, train_images=str(root)), f"out_dir_{fmt}")
+        if fmt == "cifar-binary":
+            cfg.dataset = DatasetConfig(format=fmt, train_files=[str(root)], test_files=[str(root)])
+            cfg.network = NetworkSpec(layers=(FullyConnected(10),), input_shape=(3, 32, 32), num_classes=10, total_timesteps=3)
+        cfg_path = write_config(root, cfg, f"dir_{fmt}.json")
+        assert cli.main(["train-ann", "--config", cfg_path]) == 3
+        assert "cannot read" in capsys.readouterr().err
+
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_any_single_field_validates_or_is_a_config_error(self, tiny_root, data):

@@ -2,9 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from snnkit import data
+from snnkit import data, modelio
 from snnkit.errors import IngestionError
+from snnkit.neuron import LayerParams
 
 
 class TestIdx:
@@ -36,6 +38,24 @@ class TestIdx:
         path.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + b"\x00" * 4)
         with pytest.raises(IngestionError, match="magic"):
             data.read_idx_images(path)
+
+    def test_declared_size_beyond_the_file_is_ingestion_error(self, tmp_path):
+        path = tmp_path / "huge.idx3-ubyte"
+        path.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFFFFFF, 16) + b"\x00" * 8)
+        with pytest.raises(IngestionError, match="pixel data at byte offset 16"):
+            data.read_idx_images(path)
+
+    def test_path_naming_a_directory_is_ingestion_error(self, tmp_path):
+        with pytest.raises(IngestionError, match="cannot read IDX image file"):
+            data.read_idx_images(tmp_path)
+        with pytest.raises(IngestionError, match="cannot read IDX label file"):
+            data.read_idx_labels(tmp_path)
+
+    def test_labels_beyond_the_declared_count_are_rejected(self, tmp_path):
+        path = tmp_path / "labels.idx1-ubyte"
+        path.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, 2) + bytes([1, 0, 2]))
+        with pytest.raises(IngestionError, match="trailing bytes at byte offset 10"):
+            data.read_idx_labels(path)
 
     def test_label_out_of_range_offset(self, tmp_path):
         path = tmp_path / "labels.idx1-ubyte"
@@ -71,6 +91,62 @@ class TestCifarBinary:
         path.write_bytes(record)
         with pytest.raises(IngestionError, match="out of range"):
             data.read_cifar_binary([path])
+
+    def test_path_naming_a_directory_is_ingestion_error(self, tmp_path):
+        with pytest.raises(IngestionError, match="cannot read CIFAR file"):
+            data.read_cifar_binary([tmp_path])
+
+
+def small_valid_inputs(directory):
+    """One small valid byte string per binary format, each with the reader that parses it."""
+    model_path = directory / "model.bin"
+    modelio.save_params(
+        model_path,
+        [
+            LayerParams(np.arange(6, dtype=np.float32).reshape(2, 3), 0.5, 1.0),
+            LayerParams(np.ones((1, 1, 2, 2), dtype=np.float32), 0.25, 0.9),
+        ],
+    )
+    return {
+        "idx-images": (struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 2, 3, 3) + bytes(range(18)), data.read_idx_images),
+        "idx-labels": (struct.pack(">II", data.IDX_LABEL_MAGIC, 3) + bytes([1, 0, 2]), data.read_idx_labels),
+        "cifar": ((bytes([3]) + bytes(range(256)) * 12) * 2, lambda path: data.read_cifar_binary([path])),
+        "model": (model_path.read_bytes(), modelio.load_params),
+    }
+
+
+@pytest.fixture(scope="module")
+def corrupt_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corrupt")
+    return directory, small_valid_inputs(directory)
+
+
+# Model layout: 12-byte header, then layer 0's ndim (12), dims (16, 20),
+# threshold (24) and leak (28). Leak 1.0 is 00 00 80 3f in little-endian.
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["idx-images", "idx-labels", "cifar", "model"]),
+    cut=st.booleans(),
+    offset=st.integers(0, 2 * data.CIFAR_RECORD_BYTES),
+    bit=st.integers(0, 7),
+)
+@example(kind="model", cut=False, offset=27, bit=7)  # threshold 0.5 -> -0.5
+@example(kind="model", cut=False, offset=28, bit=0)  # leak 1.0 -> just above 1
+@example(kind="model", cut=False, offset=15, bit=6)  # ndim 2 -> 0x40000002
+def test_cut_or_bit_flipped_input_parses_or_is_ingestion_error(corrupt_dir, kind, cut, offset, bit):
+    directory, inputs = corrupt_dir
+    blob, reader = inputs[kind]
+    offset %= len(blob)
+    if cut:
+        blob = blob[:offset]
+    else:
+        blob = blob[:offset] + bytes([blob[offset] ^ (1 << bit)]) + blob[offset + 1 :]
+    path = directory / f"{kind}.bin"
+    path.write_bytes(blob)
+    try:
+        reader(path)
+    except IngestionError:
+        pass
 
 
 class TestNormalization:

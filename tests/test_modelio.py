@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,30 @@ def test_truncation_names_offset(tmp_path, rng):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 10])
     with pytest.raises(IngestionError, match="byte offset"):
+        modelio.load_params(path)
+
+
+def one_layer_model(ndim, dims, threshold=0.5, leak=1.0, payload=b""):
+    header = modelio.MAGIC + struct.pack("<II", modelio.VERSION, 1)
+    layer = struct.pack(f"<I{len(dims)}Iff", ndim, *dims, threshold, leak)
+    return header + layer + payload
+
+
+@pytest.mark.parametrize(
+    "blob,message",
+    [
+        (one_layer_model(0x7FFFFFFF, ()), "shape"),
+        (one_layer_model(2, (0xFFFFFFFF, 0xFFFFFFFF), payload=bytes(16)), "weights"),
+        (one_layer_model(2, (0xFFFFFFFF, 2), payload=bytes(16)), "weights"),
+        (one_layer_model(1, (2,), threshold=-0.5, payload=bytes(8)), "threshold must be positive"),
+        (one_layer_model(1, (2,), leak=1.5, payload=bytes(8)), "leak must lie"),
+    ],
+    ids=["ndim", "dims-overflow", "dims-huge", "negative-threshold", "leak-above-1"],
+)
+def test_corrupt_header_is_ingestion_error(tmp_path, blob, message):
+    path = tmp_path / "model.bin"
+    path.write_bytes(blob)
+    with pytest.raises(IngestionError, match=message):
         modelio.load_params(path)
 
 

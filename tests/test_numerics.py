@@ -100,7 +100,7 @@ class TestConvGradients:
 
     def test_weight_grad(self):
         x, w, dout = self._setup()
-        analytic = numerics.conv2d_weight_grad(dout, x, 3, 1, 1)
+        analytic = numerics.conv2d_weight_grad(dout, numerics.im2col(x, 3, 1, 1))
         eps = 1e-6
         for flat in [0, 7, 25, 53]:
             wp, wm = w.copy(), w.copy()
