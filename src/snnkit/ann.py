@@ -217,6 +217,21 @@ class _TopCollector:
         return float(self._top.min())
 
 
+class _BitTrain:
+    """One chunk's spike train, held at one bit per neuron and step."""
+
+    def __init__(self):
+        self.rows = []
+
+    def append(self, spikes: np.ndarray):
+        self.shape, self.dtype = spikes.shape, spikes.dtype
+        self.rows.append(np.packbits(spikes != 0, axis=None))
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        bits = np.unpackbits(self.rows[t], count=math.prod(self.shape))
+        return bits.reshape(self.shape).astype(self.dtype)
+
+
 def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.ndarray, cfg: CalibrationConfig):
     """Sequential front-to-back percentile calibration of per-layer thresholds.
 
@@ -224,6 +239,16 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
     while layers 0..l-1 run as standard multi-spike LIF neurons with their
     already-calibrated thresholds and unit leak, all driven by direct
     encoding for ``cfg.calib_timesteps`` steps.
+
+    The layers are calibrated in one layer-major pass. Once layer l's
+    threshold is known, one sweep over the sample runs its LIF neurons and
+    feeds layer l+1's currents to that layer's percentile collector. The
+    sweep recomputes layer l's currents from the spike train of layer l-1
+    (layer 0's from the sample frame, once per chunk), so that train is the
+    only thing held for the whole sample: one bit per neuron, image and
+    step. The sweep builds layer l's train in its place, one 64-image chunk
+    at a time; besides the trains, one chunk's neuron state and one step's
+    currents are live.
     """
     if len(sample_images) != cfg.num_images:
         raise ConfigurationError(
@@ -231,27 +256,47 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
         )
     stages = spec.stages
     counts = spec.neuron_counts()
+    steps = cfg.calib_timesteps
     chunk = 64  # images simulated together
+    frames = [sample_images[s : s + chunk] for s in range(0, len(sample_images), chunk)]
+
+    def current(l, x):
+        return network.input_current(stages[l], ann.weights[l], network.apply_pre(stages[l], x, None))
+
+    def collector(l):
+        return _TopCollector(counts[l] * len(sample_images) * steps, cfg.percentile)
+
+    top = collector(0)
+    for frame in frames:
+        drive = current(0, frame)
+        for _ in range(steps):
+            top.add(drive)
+    trains = []  # per chunk, the spike train of the layer below the one being run
     thresholds = []
-    for l, target in enumerate(stages):
-        below = [LayerParams(w, v, 1.0) for w, v in zip(ann.weights, thresholds)]
-        collector = _TopCollector(counts[l] * len(sample_images) * cfg.calib_timesteps, cfg.percentile)
-        for s in range(0, len(sample_images), chunk):
-            x0 = sample_images[s : s + chunk]
-            states = [NeuronState.zeros((len(x0),) + stage.out_shape) for stage in stages[:l]]
-            for _ in range(cfg.calib_timesteps):
-                x = x0
-                for i, p in enumerate(below):
-                    x = network.apply_pre(stages[i], x, None)
-                    states[i], x = lif_step(states[i], p, network.input_current(stages[i], p.weights, x))
-                collector.add(network.input_current(target, ann.weights[l], network.apply_pre(target, x, None)))
-        value = collector.result()
+    for l in range(len(stages)):
+        value = top.result()
         if not value > 0:
             raise CalibrationError(
                 f"layer {l} received a degenerate input distribution (percentile {value}); "
                 "earlier layers may never spike"
             )
         thresholds.append(value)
+        if l + 1 == len(stages):
+            break
+        params = LayerParams(ann.weights[l], value, 1.0)
+        top = collector(l + 1)
+        below, trains = trains, []
+        for frame in frames:
+            train = below.pop(0) if l else None  # freed once this chunk has run
+            drive = None if l else current(0, frame)  # layer 0 reads the same frame at every step
+            state = NeuronState.zeros((len(frame),) + stages[l].out_shape)
+            trains.append(_BitTrain())
+            for t in range(steps):
+                if l:
+                    drive = current(l, train[t])
+                state, spikes = lif_step(state, params, drive)
+                trains[-1].append(spikes)
+                top.add(current(l + 1, spikes))
     return thresholds
 
 

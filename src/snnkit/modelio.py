@@ -66,6 +66,8 @@ def load_params(path) -> list:
         for _ in range(count):
             ndim = struct.unpack("<I", read_exact(fh, 4, path, "ndim"))[0]
             shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, path, "shape"))
+            if 0 in shape:  # numpy refuses a zero-sized shape whose other dims overflow
+                raise IngestionError(f"{path}: layer {len(params)} has an empty weight shape {shape}")
             threshold, leak = struct.unpack("<ff", read_exact(fh, 8, path, "scalars"))
             raw = read_exact(fh, 4 * math.prod(shape), path, "weights")
             weights = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()

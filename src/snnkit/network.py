@@ -416,15 +416,22 @@ def forward(
                 )
 
     analog_steps = encoded.analog_steps
+    held = None  # the first stage's (operand, current), kept while the next step repeats the analog frame
     for t in range(1, spec.total_timesteps + 1):
-        x = np.asarray(encoded.input_at(t), dtype=dtype)
-        if not batched:
-            x = x[None]
+        if held is None:
+            x = np.asarray(encoded.input_at(t), dtype=dtype)
+            if not batched:
+                x = x[None]
         for i, stage in enumerate(stages):
             p = params[i]
-            x = apply_pre(stage, x, masks)
-            cols = unfold(stage, x)
-            drive = current(stage, p.weights, cols)
+            if i == 0 and held is not None:
+                x, drive = held
+            else:
+                x = apply_pre(stage, x, masks)
+                cols = unfold(stage, x)
+                drive = current(stage, p.weights, cols)
+            if i == 0:
+                held = (x, drive) if t in analog_steps and t + 1 in analog_steps else None
             if counters is not None and (i or t not in analog_steps):
                 counters.accumulate_events[i] += int(np.count_nonzero(cols)) * p.weights.shape[0]
             if with_trace:

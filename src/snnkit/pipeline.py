@@ -49,6 +49,12 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
         train_labels = data_mod.read_idx_labels(ds.train_labels, cfg.network.num_classes)
         test01 = data_mod.read_idx_images(ds.test_images)
         test_labels = data_mod.read_idx_labels(ds.test_labels, cfg.network.num_classes)
+        for images, labels, images_path, labels_path in (
+            (train01, train_labels, ds.train_images, ds.train_labels),
+            (test01, test_labels, ds.test_images, ds.test_labels),
+        ):
+            if len(images) != len(labels):
+                raise IngestionError(f"{labels_path}: {len(labels)} labels for the {len(images)} images in {images_path}")
     elif ds.format == "cifar-binary":
         train01, train_labels = data_mod.read_cifar_binary(ds.train_files, cfg.network.num_classes)
         test01, test_labels = data_mod.read_cifar_binary(ds.test_files, cfg.network.num_classes)

@@ -180,6 +180,8 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
         d_leak = 0.0
         d_membrane_next = np.zeros((batch,) + stage.out_shape, dtype=p.weights.dtype)
         input_deltas = [None] * total_t
+        inputs = trace.layer_inputs[h]
+        cols = None  # kept only while the next step back reads the same input (the direct frame)
 
         for t in range(total_t, 0, -1):
             d_spikes = network.pre_adjoint(above, upper_input_deltas[t - 1], masks)
@@ -187,12 +189,16 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
             d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
             d_membrane = d_z / v + p.leak * d_membrane_next
 
-            x_t = trace.layer_inputs[h][t - 1]
+            x_t = inputs[t - 1]
             u_t = trace.membranes[h][t - 1]
             u_prev = trace.membranes[h][t - 2] if t > 1 else np.zeros_like(u_t)
             gate = trace.reset_gates[h][t - 1].astype(d_z.dtype)
 
-            d_w += network.weight_grad(stage, d_z / v, network.unfold(stage, x_t))
+            if cols is None:
+                cols = network.unfold(stage, x_t)
+            d_w += network.weight_grad(stage, d_z / v, cols)
+            if t == 1 or inputs[t - 2] is not x_t:
+                cols = None
             if h:  # nothing reads the first layer's input adjoint
                 input_deltas[t - 1] = network.input_adjoint(stage, p.weights, d_membrane)
 

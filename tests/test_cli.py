@@ -346,6 +346,20 @@ class TestExitCodes:
         assert cli.main(["eval", "--config", cfg_path, "--model", "."]) == 3
         assert "cannot read model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("extra", [-7, 5], ids=["short", "long"])
+    def test_label_count_mismatch_is_ingestion_error(self, tiny_root, capsys, split, extra):
+        root, paths = tiny_root
+        key = f"{split}_labels"
+        labels = data.read_idx_labels(paths[key])
+        labels = labels[:extra] if extra < 0 else np.concatenate([labels, labels[:extra]])
+        path = root / f"{split}-labels{extra}.idx"
+        data.write_idx_labels(path, labels)
+        cfg = tiny_config(root, dict(paths, **{key: str(path)}), f"out_count_{split}{extra}")
+        cfg_path = write_config(root, cfg, f"count_{split}{extra}.json")
+        assert cli.main(["train-ann", "--config", cfg_path]) == 3
+        assert f"{len(labels)} labels for the" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt", ["idx", "cifar-binary"])
     def test_dataset_path_naming_a_directory_is_ingestion_error(self, tiny_root, capsys, fmt):
         root, paths = tiny_root

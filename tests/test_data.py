@@ -133,6 +133,7 @@ def corrupt_dir(tmp_path_factory):
 @example(kind="model", cut=False, offset=27, bit=7)  # threshold 0.5 -> -0.5
 @example(kind="model", cut=False, offset=28, bit=0)  # leak 1.0 -> just above 1
 @example(kind="model", cut=False, offset=15, bit=6)  # ndim 2 -> 0x40000002
+@example(kind="model", cut=False, offset=12, bit=2)  # ndim 2 -> 6: dims (2, 3, 0, 0x3f000000, 0, ...)
 def test_cut_or_bit_flipped_input_parses_or_is_ingestion_error(corrupt_dir, kind, cut, offset, bit):
     directory, inputs = corrupt_dir
     blob, reader = inputs[kind]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snnkit import numerics
+from snnkit import numerics, training
 from snnkit.encoding import IntensityRange, encode_direct, encode_hybrid
 from snnkit.errors import ConfigurationError
 from snnkit.network import (
@@ -254,6 +254,51 @@ class TestDropout:
         enc = encode_direct(np.ones(4, np.float32), 4)
         with pytest.raises(ConfigurationError):
             forward(spec, params, enc, mode=TRAIN, rng=None)
+
+
+class TestAnalogFrameReuse:
+    """A frame presented at consecutive steps is unfolded once, in the forward pass and in BPTT."""
+
+    T = 5
+
+    def spec(self):
+        return NetworkSpec(
+            layers=(Conv(3, 3), AvgPool(2), FullyConnected(5), FullyConnected(2)),
+            input_shape=(1, 6, 6),
+            num_classes=2,
+            total_timesteps=self.T,
+        )
+
+    def counted_unfolds(self, monkeypatch, encode, mode):
+        spec = self.spec()
+        rng = numerics.make_rng(4)
+        params = [LayerParams(rng.normal(0.2, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        calls = {"forward": 0, "bptt": 0}
+        phase = ["forward"]
+        im2col = numerics.im2col
+
+        def counting(*args, **kwargs):
+            calls[phase[0]] += 1
+            return im2col(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "im2col", counting)
+        images = rng.random((4,) + spec.input_shape).astype(np.float32)
+        out, trace = forward(spec, params, encode(images), mode=mode, rng=rng, neuron_model=MULTI_SPIKE)
+        if mode == TRAIN:
+            phase[0] = "bptt"
+            loss = training.hybrid_loss(out, training.one_hot(np.arange(4) % 2, 2))
+            training.backward(trace, params, loss, training.TrainConfig())
+        return calls
+
+    @pytest.mark.parametrize("mode", [TRAIN, INFER])
+    def test_direct_frame_is_unfolded_once(self, monkeypatch, mode):
+        calls = self.counted_unfolds(monkeypatch, lambda x: encode_direct(x, self.T), mode)
+        assert calls == {"forward": 1, "bptt": 1 if mode == TRAIN else 0}
+
+    @pytest.mark.parametrize("mode", [TRAIN, INFER])
+    def test_hybrid_input_is_unfolded_every_step(self, monkeypatch, mode):
+        calls = self.counted_unfolds(monkeypatch, lambda x: encode_hybrid(x, UNIT, self.T), mode)
+        assert calls == {"forward": self.T, "bptt": self.T if mode == TRAIN else 0}
 
 
 class TestReadout:
