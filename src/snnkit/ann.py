@@ -247,8 +247,8 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
     (layer 0's from the sample frame, once per chunk), so that train is the
     only thing held for the whole sample: one bit per neuron, image and
     step. The sweep builds layer l's train in its place, one 64-image chunk
-    at a time; besides the trains, one chunk's neuron state and one step's
-    currents are live.
+    at a time; besides the trains, one chunk's neuron state, updated in place,
+    and one step's currents are live.
     """
     if len(sample_images) != cfg.num_images:
         raise ConfigurationError(
@@ -294,7 +294,7 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
             for t in range(steps):
                 if l:
                     drive = current(l, train[t])
-                state, spikes = lif_step(state, params, drive)
+                state, spikes = lif_step(state, params, drive, out=state)
                 trains[-1].append(spikes)
                 top.add(current(l + 1, spikes))
     return thresholds

@@ -10,7 +10,8 @@ training, calibration, the forward pass and BPTT are loops over the stages.
 
 The forward pass runs the chosen encoder's per-timestep inputs through the
 stack, recording the temporal trace needed by backpropagation-through-time
-in train mode, or lightweight activity counters in infer mode.
+in train mode, or lightweight activity counters in infer mode. A pass that
+keeps no trace updates each layer's neuron state in place after the first step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,18 @@ import numpy as np
 from . import numerics
 from .encoding import SpikeInputSequence
 from .errors import ConfigurationError, ContractViolation, require, require_count
-from .neuron import NeuronState, OutputState, lif_gate, lif_step, output_step, single_spike_gate, single_spike_step
+from .neuron import (
+    NeuronState,
+    OutputState,
+    lif_fire,
+    lif_gate,
+    lif_step,
+    norm_potential,
+    output_step,
+    single_spike_fire,
+    single_spike_gate,
+    single_spike_step,
+)
 
 SINGLE_SPIKE = "single_spike"
 MULTI_SPIKE = "multi_spike"
@@ -203,23 +215,65 @@ class NetworkSpec:
 
 @dataclass
 class TemporalTrace:
-    """Per-timestep state cached by the train-mode forward pass for BPTT.
+    """What backpropagation through time reads from a traced forward pass.
 
     Indexing: hidden weighted layers are 0..H-1 in network order; the output
     layer's per-step inputs and membranes are kept separately. Every list
-    over time has length T. BPTT needs a train-mode trace: only that one
-    carries the dropout masks the forward pass applied.
+    over time has length T. Of a hidden layer's state only the membrane is
+    stored per step: ``norm_potentials``, ``reset_gates`` and
+    ``hidden_spikes`` are derived from the membranes on access, through the
+    step rule's own expressions, so they equal what the pass computed bit for
+    bit. BPTT needs a train-mode trace: only that one carries the dropout
+    masks the forward pass applied.
     """
 
     spec: "NetworkSpec"
     mode: str
+    neuron_model: str
+    thresholds: list          # [hidden_idx] threshold the pass ran with
     layer_inputs: list        # [weighted_idx][t-1] input fed to that layer's weights
     membranes: list           # [hidden_idx][t-1] membrane after the step
-    norm_potentials: list     # [hidden_idx][t-1]
-    reset_gates: list         # [hidden_idx][t-1] gate used at that step (bool)
-    hidden_spikes: list       # [hidden_idx][t-1]
     output_membranes: list    # [t-1] output accumulator after the step
     dropout_masks: list       # per descriptor index, None when absent
+
+    def rules(self):
+        """The (gate, fire) pair of the neuron model the pass ran."""
+        if self.neuron_model == SINGLE_SPIKE:
+            return single_spike_gate, single_spike_fire
+        return lif_gate, lif_fire
+
+    def settled(self, h: int, t: int):
+        """Hidden layer h's (membrane, norm potential) after step t; t = 0 is the reset state."""
+        u = self.membranes[h][t - 1] if t else np.zeros_like(self.membranes[h][0])
+        return u, norm_potential(u, self.thresholds[h])
+
+    @property
+    def norm_potentials(self) -> list:
+        """[hidden_idx][t-1] membrane / threshold - 1 after the step."""
+        return [[self.settled(h, t)[1] for t in range(1, len(m) + 1)] for h, m in enumerate(self.membranes)]
+
+    @property
+    def reset_gates(self) -> list:
+        """[hidden_idx][t-1] reset gate used at that step (bool)."""
+        gate, _ = self.rules()
+        return [
+            [gate(*self.settled(h, t - 1), self.thresholds[h]) for t in range(1, len(m) + 1)]
+            for h, m in enumerate(self.membranes)
+        ]
+
+    @property
+    def hidden_spikes(self) -> list:
+        """[hidden_idx][t-1] spikes of that step, replayed through the has-spiked recurrence."""
+        _, fire = self.rules()
+        out = []
+        for h, layer in enumerate(self.membranes):
+            has_spiked = np.zeros(layer[0].shape, dtype=bool)
+            out.append([])
+            for t, u in enumerate(layer, 1):
+                spikes = fire(*self.settled(h, t), self.thresholds[h], has_spiked)
+                has_spiked = has_spiked | spikes
+                out[h].append(spikes.astype(u.dtype))
+        return out
 
 
 @dataclass
@@ -389,21 +443,17 @@ def forward(
 
     stages = spec.stages
     n_hidden = len(stages) - 1
-    if neuron_model == SINGLE_SPIKE:
-        step, reset_gate = single_spike_step, single_spike_gate
-    else:
-        step, reset_gate = lif_step, lif_gate
+    step = single_spike_step if neuron_model == SINGLE_SPIKE else lif_step
 
     trace = None
     if with_trace:
         trace = TemporalTrace(
             spec=spec,
             mode=mode,
+            neuron_model=neuron_model,
+            thresholds=[p.threshold for p in params[:n_hidden]],
             layer_inputs=[[] for _ in stages],
             membranes=[[] for _ in range(n_hidden)],
-            norm_potentials=[[] for _ in range(n_hidden)],
-            reset_gates=[[] for _ in range(n_hidden)],
-            hidden_spikes=[[] for _ in range(n_hidden)],
             output_membranes=[],
             dropout_masks=masks,
         )
@@ -430,10 +480,11 @@ def forward(
                 x = apply_pre(stage, x, masks)
                 cols = unfold(stage, x)
                 drive = current(stage, p.weights, cols)
+                if counters is not None and (i or t not in analog_steps):
+                    counters.accumulate_events[i] += int(np.count_nonzero(cols)) * p.weights.shape[0]
+                del cols  # a conv's columns are the step's largest array; free them before the neuron step
             if i == 0:
                 held = (x, drive) if t in analog_steps and t + 1 in analog_steps else None
-            if counters is not None and (i or t not in analog_steps):
-                counters.accumulate_events[i] += int(np.count_nonzero(cols)) * p.weights.shape[0]
             if with_trace:
                 trace.layer_inputs[i].append(x)
 
@@ -442,13 +493,14 @@ def forward(
                 if with_trace:
                     trace.output_membranes.append(out_state.membrane)
                 continue
-            if with_trace:
-                trace.reset_gates[i].append(reset_gate(hidden_states[i], p))
-            hidden_states[i], spikes = step(hidden_states[i], p, drive)
+            # A trace keeps every step's membrane, so only an untraced pass overwrites the state,
+            # and only from step 2 on: allocated while step 1's currents are live, the state sits
+            # above each step's temporaries in the heap, so freeing them does not hand the heap
+            # top back to the OS to be faulted in again at the next step.
+            in_place = not with_trace and t > 1
+            hidden_states[i], spikes = step(hidden_states[i], p, drive, out=hidden_states[i] if in_place else None)
             if with_trace:
                 trace.membranes[i].append(hidden_states[i].membrane)
-                trace.norm_potentials[i].append(hidden_states[i].norm_potential)
-                trace.hidden_spikes[i].append(spikes)
             if counters is not None:
                 counters.output_spikes[i] += int(np.count_nonzero(spikes))
                 if counters.per_neuron_spikes is not None:

@@ -5,9 +5,10 @@ Three step rules live here: the standard multi-spike LIF with soft reset
 and the leak-free output accumulator that records first-crossing spike
 times. The triangular surrogate used in place of the spike derivative is
 also defined here. Each hidden rule maps (state, params, current) to the
-next state and its spikes; its reset gate is read from the state alone, so
-the caller keeps no spike history. All step functions are shape-agnostic,
-so a leading batch axis passes straight through.
+next state and its spikes; its reset gate is read from the previous
+membrane and norm potential alone, so the caller keeps no spike history, and
+the next state may overwrite the previous one in place. All step functions
+are shape-agnostic, so a leading batch axis passes straight through.
 """
 
 from __future__ import annotations
@@ -75,49 +76,72 @@ class OutputState:
         )
 
 
-def lif_gate(state: NeuronState, params: LayerParams):
+def norm_potential(membrane, threshold, out=None):
+    """membrane / threshold - 1, written into ``out`` when given."""
+    z = np.divide(membrane, threshold, out=out)
+    return np.subtract(z, 1.0, out=out)
+
+
+def lif_gate(membrane, norm_potential, threshold):
     """Soft-reset gate of ``lif_step``: the previous step's spikes, read from the membrane."""
-    return state.membrane > params.threshold
+    return membrane > threshold
 
 
-def lif_step(state: NeuronState, params: LayerParams, input_current):
+def lif_fire(membrane, norm_potential, threshold, has_spiked):
+    """Spikes of ``lif_step``: wherever the new membrane strictly exceeds the threshold."""
+    return membrane > threshold
+
+
+def single_spike_gate(membrane, norm_potential, threshold):
+    """Reset gate of ``single_spike_step``: the previous norm_potential is positive."""
+    return norm_potential > 0
+
+
+def single_spike_fire(membrane, norm_potential, threshold, has_spiked):
+    """Spikes of ``single_spike_step``: a positive norm potential in a neuron yet to fire."""
+    return (norm_potential > 0) & ~has_spiked
+
+
+def _step(gate, fire, state: NeuronState, params: LayerParams, input_current, out: NeuronState | None):
+    """membrane <- leak * membrane + current - threshold * gate; ``fire`` picks the spikes.
+
+    The new membrane, norm potential and has-spiked are written into ``out``
+    when given (it may be ``state`` itself), else into fresh arrays. The gate
+    and the spikes are taken before ``state`` is overwritten.
+    """
+    v = params.threshold
+    reset = gate(state.membrane, state.norm_potential, v).astype(state.membrane.dtype)
+    reset *= v
+    dst = None if out is None else out.membrane
+    u = np.add(np.multiply(params.leak, state.membrane, out=dst), input_current, out=dst)
+    u = np.subtract(u, reset, out=dst)
+    z = norm_potential(u, v, None if out is None else out.norm_potential)
+    spikes = fire(u, z, v, state.has_spiked)
+    has_spiked = np.bitwise_or(state.has_spiked, spikes, out=None if out is None else out.has_spiked)
+    return NeuronState(membrane=u, norm_potential=z, has_spiked=has_spiked), spikes.astype(u.dtype)
+
+
+def lif_step(state: NeuronState, params: LayerParams, input_current, out: NeuronState | None = None):
     """Standard LIF update with soft reset; multiple spikes allowed.
 
     membrane <- leak * membrane + current - threshold * gate, and a spike
     fires wherever the new membrane strictly exceeds the threshold. The gate
     is that same test on the previous membrane, i.e. the previous spikes.
+    The new state goes into ``out`` when given, which may be ``state``.
     """
-    v = params.threshold
-    u = params.leak * state.membrane + input_current - v * lif_gate(state, params).astype(state.membrane.dtype)
-    spikes = u > v
-    new = NeuronState(
-        membrane=u,
-        norm_potential=u / v - 1.0,
-        has_spiked=state.has_spiked | spikes,
-    )
-    return new, spikes.astype(u.dtype)
+    return _step(lif_gate, lif_fire, state, params, input_current, out)
 
 
-def single_spike_gate(state: NeuronState, params: LayerParams):
-    """Reset gate of ``single_spike_step``: the previous norm_potential is positive."""
-    return state.norm_potential > 0
-
-
-def single_spike_step(state: NeuronState, params: LayerParams, input_current):
+def single_spike_step(state: NeuronState, params: LayerParams, input_current, out: NeuronState | None = None):
     """Single-spike LIF update.
 
     The ``has_spiked`` gate lets each neuron fire at most once per sample.
     The membrane recursion keeps running after the spike, in training and
     inference alike, so BPTT sees a live membrane; the reset gate may stay
-    active over several steps.
+    active over several steps. The new state goes into ``out`` when given,
+    which may be ``state``.
     """
-    v = params.threshold
-    gate = single_spike_gate(state, params)
-    u = params.leak * state.membrane + input_current - v * gate.astype(state.membrane.dtype)
-    z = u / v - 1.0
-    spikes = (z > 0) & ~state.has_spiked
-    new = NeuronState(membrane=u, norm_potential=z, has_spiked=state.has_spiked | spikes)
-    return new, spikes.astype(u.dtype)
+    return _step(single_spike_gate, single_spike_fire, state, params, input_current, out)
 
 
 def output_step(state: OutputState, params: LayerParams, input_current, t: int, total_timesteps: int) -> OutputState:

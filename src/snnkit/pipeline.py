@@ -60,6 +60,11 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
         test01, test_labels = data_mod.read_cifar_binary(ds.test_files, cfg.network.num_classes)
     else:
         raise ConfigurationError(f"unknown dataset format {ds.format!r}")
+    for split, images in (("train", train01), ("test", test01)):
+        if images.shape[1:] != tuple(cfg.network.input_shape):
+            raise ConfigurationError(
+                f"{split} images have shape {images.shape[1:]}, network.input_shape is {tuple(cfg.network.input_shape)}"
+            )
     return data_mod.normalize_dataset(train01, train_labels, test01, test_labels)
 
 

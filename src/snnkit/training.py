@@ -169,8 +169,9 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
     grad_u = loss.grad_u.reshape(batch, -1).astype(params[-1].weights.dtype, copy=False)
     upper_input_deltas = [network.input_adjoint(stages[-1], params[-1].weights, grad_u)] * total_t
 
+    gate_of, _ = trace.rules()
     for h in range(n_hidden - 1, -1, -1):
-        if not trace.norm_potentials[h]:
+        if not trace.membranes[h]:
             raise ContractViolation(f"trace has no recorded state for hidden layer {h}")
         stage, above = stages[h], stages[h + 1]
         p = params[h]
@@ -182,17 +183,16 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
         input_deltas = [None] * total_t
         inputs = trace.layer_inputs[h]
         cols = None  # kept only while the next step back reads the same input (the direct frame)
+        u_t, z_t = trace.settled(h, total_t)
 
         for t in range(total_t, 0, -1):
             d_spikes = network.pre_adjoint(above, upper_input_deltas[t - 1], masks)
-            z_t = trace.norm_potentials[h][t - 1]
             d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
             d_membrane = d_z / v + p.leak * d_membrane_next
 
             x_t = inputs[t - 1]
-            u_t = trace.membranes[h][t - 1]
-            u_prev = trace.membranes[h][t - 2] if t > 1 else np.zeros_like(u_t)
-            gate = trace.reset_gates[h][t - 1].astype(d_z.dtype)
+            u_prev, z_prev = trace.settled(h, t - 1)  # the state step t started from
+            gate = gate_of(u_prev, z_prev, trace.thresholds[h]).astype(d_z.dtype)
 
             if cols is None:
                 cols = network.unfold(stage, x_t)
@@ -205,6 +205,7 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
             d_v += float((d_z * (-v * gate - u_t)).sum() / (v * v))
             d_leak += float((d_z * u_prev).sum() / v)
             d_membrane_next = d_membrane
+            u_t, z_t = u_prev, z_prev
 
         grads.weight[h] = d_w / batch
         grads.threshold[h] = d_v / batch

@@ -12,7 +12,7 @@ from snnkit.ann import AnnTrainConfig, CalibrationConfig
 from snnkit.config import DatasetConfig, ExperimentConfig, RunReport
 from snnkit.errors import ConfigurationError, EmissionError
 from snnkit.metrics import energy_ratio
-from snnkit.network import FullyConnected, NetworkSpec
+from snnkit.network import Conv, FullyConnected, NetworkSpec
 from snnkit.neuron import LayerParams
 from snnkit.training import TrainConfig
 
@@ -359,6 +359,24 @@ class TestExitCodes:
         cfg_path = write_config(root, cfg, f"count_{split}{extra}.json")
         assert cli.main(["train-ann", "--config", cfg_path]) == 3
         assert f"{len(labels)} labels for the" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "layers, shape",
+        [
+            ((Conv(4, 3), FullyConnected(10)), (1, 12, 12)),
+            ((FullyConnected(24), FullyConnected(10)), (1, 14, 56)),
+        ],
+        ids=["conv", "fc-same-size"],
+    )
+    def test_image_shape_unlike_the_network_input_is_config_error(self, tiny_root, capsys, layers, shape):
+        # the data is 28x28; the fc case holds as many elements, so only the shape can tell
+        root, paths = tiny_root
+        cfg = tiny_config(root, paths, f"out_shape_{shape[2]}")
+        cfg.network = NetworkSpec(layers=layers, input_shape=shape, num_classes=10, total_timesteps=3)
+        cfg_path = write_config(root, cfg, f"shape_{shape[2]}.json")
+        assert cli.main(["train-ann", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "(1, 28, 28)" in err and str(shape) in err
 
     @pytest.mark.parametrize("fmt", ["idx", "cifar-binary"])
     def test_dataset_path_naming_a_directory_is_ingestion_error(self, tiny_root, capsys, fmt):

@@ -7,6 +7,7 @@ from snnkit.errors import ConfigurationError
 from snnkit.network import (
     INFER,
     MULTI_SPIKE,
+    SINGLE_SPIKE,
     TRAIN,
     ActivityCounters,
     AvgPool,
@@ -299,6 +300,50 @@ class TestAnalogFrameReuse:
     def test_hybrid_input_is_unfolded_every_step(self, monkeypatch, mode):
         calls = self.counted_unfolds(monkeypatch, lambda x: encode_hybrid(x, UNIT, self.T), mode)
         assert calls == {"forward": self.T, "bptt": self.T if mode == TRAIN else 0}
+
+
+class TestTraceStorage:
+    """A traced pass stores one array per hidden layer and step, the membrane; the rest is derived."""
+
+    T = 4
+
+    def run(self, mode, with_trace=None, neuron_model=SINGLE_SPIKE):
+        spec = NetworkSpec(
+            layers=(Conv(3, 3), AvgPool(2), Conv(4, 3), FullyConnected(2)),
+            input_shape=(1, 10, 10),
+            num_classes=2,
+            total_timesteps=self.T,
+        )
+        rng = numerics.make_rng(8)
+        params = [LayerParams(rng.normal(0.2, 0.6, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        enc = encode_hybrid(rng.random((3,) + spec.input_shape).astype(np.float32), UNIT, self.T)
+        _, trace = forward(spec, params, enc, mode=mode, rng=rng, neuron_model=neuron_model, with_trace=with_trace)
+        return spec, trace
+
+    @staticmethod
+    def arrays(node):
+        if isinstance(node, np.ndarray):
+            yield node
+        elif isinstance(node, (list, tuple)):
+            for item in node:
+                yield from TestTraceStorage.arrays(item)
+
+    @pytest.mark.parametrize("neuron_model", [SINGLE_SPIKE, MULTI_SPIKE])
+    def test_train_trace_holds_only_the_membrane_per_hidden_step(self, neuron_model):
+        spec, trace = self.run(TRAIN, neuron_model=neuron_model)
+        others = ("layer_inputs", "output_membranes", "dropout_masks")
+        kept = {id(a) for field in others for a in self.arrays(getattr(trace, field))}
+        hidden = [a for value in vars(trace).values() for a in self.arrays(value) if id(a) not in kept]
+        assert len({id(a) for a in hidden}) == len(hidden) == 2 * self.T
+        assert {id(a) for a in hidden} == {id(u) for layer in trace.membranes for u in layer}
+        for stage, layer in zip(spec.stages, trace.membranes):
+            assert all(u.shape == (3,) + stage.out_shape and u.dtype == np.float32 for u in layer)
+
+    def test_infer_trace_records_a_distinct_membrane_per_step(self):
+        spec, trace = self.run(INFER, with_trace=True)
+        for layer in trace.membranes:
+            assert len({id(u) for u in layer}) == len(layer) == self.T
+            assert any((a != b).any() for a, b in zip(layer, layer[1:]))
 
 
 class TestReadout:

@@ -105,6 +105,26 @@ class TestSingleSpikeStep:
         assert m1 == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("step", [lif_step, single_spike_step])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_in_place_step_matches_fresh_arrays(step, seed):
+    # the destination may be the state itself: every field and spike stays byte-equal
+    rng = np.random.default_rng(seed)
+    p = params_for(threshold=0.6, leak=0.8)
+    fresh = NeuronState.zeros((4, 7))
+    in_place = NeuronState.zeros((4, 7))
+    arrays = (in_place.membrane, in_place.norm_potential, in_place.has_spiked)
+    for _ in range(8):
+        current = rng.normal(0.3, 0.8, size=(4, 7)).astype(np.float32)
+        fresh, spikes = step(fresh, p, current)
+        in_place, spikes_in_place = step(in_place, p, current, out=in_place)
+        for name in ("membrane", "norm_potential", "has_spiked"):
+            assert getattr(in_place, name).tobytes() == getattr(fresh, name).tobytes()
+        assert spikes_in_place.tobytes() == spikes.tobytes()
+    assert all(a is b for a, b in zip((in_place.membrane, in_place.norm_potential, in_place.has_spiked), arrays))
+    assert 0 < in_place.has_spiked.sum() < in_place.has_spiked.size
+
+
 class TestOutputStep:
     def run_outputs(self, currents, threshold=1.0):
         p = params_for(threshold)

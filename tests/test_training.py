@@ -155,9 +155,7 @@ class TestHiddenGrads:
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=rng)
         # widen: zero image encodes spikes at t=5 (min intensity), overwrite them
         trace.layer_inputs[0] = [np.zeros((1, 4), np.float32) for _ in range(5)]
-        trace.norm_potentials[0] = [np.full((1, 6), -1.0, np.float32) for _ in range(5)]
         trace.membranes[0] = [np.zeros((1, 6), np.float32) for _ in range(5)]
-        trace.reset_gates[0] = [np.zeros((1, 6), bool) for _ in range(5)]
         loss = hybrid_loss(out, one_hot(np.array([0]), 3))
         grads = bptt_hidden_grads(trace, params, loss, TrainConfig())
         assert not grads.weight[0].any()
