@@ -9,6 +9,7 @@ ingestion, 4 training, 5 emission, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -41,9 +42,7 @@ def load_config(args) -> ExperimentConfig:
     if args.out is not None:
         cfg.out_dir = args.out
     if args.timesteps is not None:
-        net = cfg.network.to_dict()
-        net["total_timesteps"] = args.timesteps
-        cfg.network = type(cfg.network).from_dict(net)
+        cfg.network = dataclasses.replace(cfg.network, total_timesteps=args.timesteps)
     return cfg
 
 

@@ -42,6 +42,16 @@ class DatasetConfig:
         return files
 
 
+# Decoders of the config fields whose JSON form is a nested record.
+_SECTIONS = {
+    "dataset": lambda d: DatasetConfig(**d),
+    "network": NetworkSpec.from_dict,
+    "calibration": lambda d: CalibrationConfig(**d),
+    "ann_train": lambda d: AnnTrainConfig(**d),
+    "snn_train": lambda d: TrainConfig(**d),
+}
+
+
 @dataclass
 class ExperimentConfig:
     dataset: DatasetConfig
@@ -77,36 +87,13 @@ class ExperimentConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "dataset": dataclasses.asdict(self.dataset),
-            "network": self.network.to_dict(),
-            "encoder": self.encoder,
-            "neuron_model": self.neuron_model,
-            "calibration": dataclasses.asdict(self.calibration),
-            "ann_train": dataclasses.asdict(self.ann_train),
-            "snn_train": dataclasses.asdict(self.snn_train),
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "eval_samples": self.eval_samples,
-        }
+        return {**dataclasses.asdict(self), "network": self.network.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Build a config from its JSON form; an unknown key is a ConfigurationError."""
         try:
-            return cls(
-                dataset=DatasetConfig(**d["dataset"]),
-                network=NetworkSpec.from_dict(d["network"]),
-                encoder=d.get("encoder", HYBRID),
-                neuron_model=d.get("neuron_model", "single_spike"),
-                calibration=CalibrationConfig(**d.get("calibration", {})),
-                ann_train=AnnTrainConfig(**d.get("ann_train", {})),
-                snn_train=TrainConfig(**d.get("snn_train", {})),
-                seed=d.get("seed", 0),
-                out_dir=d.get("out_dir", "runs/out"),
-                eval_samples=d.get("eval_samples"),
-                schema_version=d.get("schema_version", SCHEMA_VERSION),
-            )
+            return cls(**{**d, **{name: decode(d[name]) for name, decode in _SECTIONS.items() if name in d}})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed experiment config: {exc}") from exc
 
@@ -143,31 +130,9 @@ class RunReport:
     wall_clock_s: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
-            "config": self.config,
-            "seed": self.seed,
-            "accuracy_ann": self.accuracy_ann,
-            "accuracy_converted": self.accuracy_converted,
-            "accuracy_finetuned": self.accuracy_finetuned,
-            "ann_loss_curve": list(self.ann_loss_curve),
-            "snn_loss_curve": list(self.snn_loss_curve),
-            "snn_accuracy_curve": list(self.snn_accuracy_curve),
-            "energy": self.energy.to_dict() if self.energy else None,
-            "wall_clock_s": dict(self.wall_clock_s),
-        }
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            config=d["config"],
-            seed=d["seed"],
-            accuracy_ann=d.get("accuracy_ann"),
-            accuracy_converted=d.get("accuracy_converted"),
-            accuracy_finetuned=d.get("accuracy_finetuned"),
-            ann_loss_curve=list(d.get("ann_loss_curve", [])),
-            snn_loss_curve=list(d.get("snn_loss_curve", [])),
-            snn_accuracy_curve=list(d.get("snn_accuracy_curve", [])),
-            energy=EnergyReport.from_dict(d["energy"]) if d.get("energy") else None,
-            wall_clock_s=dict(d.get("wall_clock_s", {})),
-        )
+        energy = d.get("energy")
+        return cls(**{**d, "energy": EnergyReport.from_dict(energy) if energy else None})

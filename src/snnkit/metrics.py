@@ -6,13 +6,12 @@ of a layer multiplies its dense count by the measured activity of the
 layer's *input* drive, because accumulations fire when presynaptic spikes
 arrive. Energy charges every dense ANN operation as a MAC; the spiking side
 charges the first layer's analog pass as MACs and everything spike-driven
-as accumulates. Hardware energy constants are data so other technology
-nodes can be swapped in from a JSON file.
+as accumulates, at the per-operation energies of an ``EnergyCosts`` record.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,21 +19,13 @@ from .encoding import ANALOG_INPUT, ENCODERS
 from .errors import ConfigurationError, ContractViolation
 from .network import ActivityCounters, NetworkSpec
 
-# 45 nm CMOS estimates at 0.9 V: 32-bit multiply 3.1 pJ + add 0.1 pJ per MAC,
-# add-only 0.1 pJ per AC.
-DEFAULT_ENERGY_COSTS = {"e_mac_pj": 3.2, "e_ac_pj": 0.1}
-
 
 @dataclass(frozen=True)
 class EnergyCosts:
-    e_mac_pj: float = DEFAULT_ENERGY_COSTS["e_mac_pj"]
-    e_ac_pj: float = DEFAULT_ENERGY_COSTS["e_ac_pj"]
-
-    @classmethod
-    def from_json(cls, path) -> "EnergyCosts":
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls(float(data["e_mac_pj"]), float(data["e_ac_pj"]))
+    # 45 nm CMOS estimates at 0.9 V: 32-bit multiply 3.1 pJ + add 0.1 pJ per MAC,
+    # add-only 0.1 pJ per AC.
+    e_mac_pj: float = 3.2
+    e_ac_pj: float = 0.1
 
 
 @dataclass
@@ -71,33 +62,11 @@ class EnergyReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "layers": [vars(l) for l in self.layers],
-            "spike_activity": list(self.spike_activity),
-            "e_ann_pj": self.e_ann_pj,
-            "e_snn_pj": self.e_snn_pj,
-            "ratio": self.ratio,
-            "e_mac_pj": self.e_mac_pj,
-            "e_ac_pj": self.e_ac_pj,
-            "encoding": self.encoding,
-            "total_timesteps": self.total_timesteps,
-            "samples": self.samples,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergyReport":
-        return cls(
-            layers=[LayerEnergy(**l) for l in d["layers"]],
-            spike_activity=list(d["spike_activity"]),
-            e_ann_pj=d["e_ann_pj"],
-            e_snn_pj=d["e_snn_pj"],
-            ratio=d["ratio"],
-            e_mac_pj=d["e_mac_pj"],
-            e_ac_pj=d["e_ac_pj"],
-            encoding=d["encoding"],
-            total_timesteps=d["total_timesteps"],
-            samples=d["samples"],
-        )
+        return cls(**{**d, "layers": [LayerEnergy(**row) for row in d["layers"]]})
 
 
 def energy_ratio(e_ann_pj: float, e_snn_pj: float) -> float:
@@ -114,17 +83,9 @@ def spike_activity(spike_counts, neuron_counts, sample_count: int) -> list:
     return [float(c) / (n * sample_count) for c, n in zip(spike_counts, neuron_counts)]
 
 
-def flops(spec: NetworkSpec, input_activity=None):
-    """Dense FLOPs per weighted layer, and spiking FLOPs when activity is given.
-
-    A layer's dense count is its weight count times its output positions.
-    """
-    f_ann = [math.prod(s.weight_shape) * math.prod(s.out_shape[1:]) for s in spec.stages]
-    if input_activity is None:
-        return f_ann
-    if len(input_activity) != len(f_ann):
-        raise ConfigurationError("one input-activity value per weighted layer is required")
-    return f_ann, [f * z for f, z in zip(f_ann, input_activity)]
+def flops(spec: NetworkSpec) -> list:
+    """Dense FLOPs per weighted layer: its weight count times its output positions."""
+    return [math.prod(s.weight_shape) * math.prod(s.out_shape[1:]) for s in spec.stages]
 
 
 def energy(

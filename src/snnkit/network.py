@@ -205,12 +205,7 @@ class NetworkSpec:
             if kind not in ctor:
                 raise ConfigurationError(f"unknown layer type {kind!r}")
             layers.append(ctor[kind](**entry))
-        return cls(
-            layers=tuple(layers),
-            input_shape=tuple(d["input_shape"]),
-            num_classes=d["num_classes"],
-            total_timesteps=d["total_timesteps"],
-        )
+        return cls(**{**d, "layers": layers})
 
 
 @dataclass

@@ -13,6 +13,7 @@ are shape-agnostic, so a leading batch axis passes straight through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class LayerParams:
     leak: float
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise ConfigurationError(f"threshold must be positive, got {self.threshold}")
+        if not 0 < self.threshold < math.inf:
+            raise ConfigurationError(f"threshold must be positive and finite, got {self.threshold}")
         if not 0.0 <= self.leak <= 1.0:
             raise ConfigurationError(f"leak must lie in [0,1], got {self.leak}")
 

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericalError
 
-DTYPE = np.float32
-
 
 def make_rng(seed) -> np.random.Generator:
     """Deterministic seedable generator (PCG64) owned by the caller."""

@@ -9,8 +9,10 @@ accuracies, spike activities, and reports.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
+import sys
 import time
 
 import numpy as np
@@ -22,7 +24,7 @@ from .config import ExperimentConfig, RunReport
 from .encoding import DIRECT, HYBRID, RATE, IntensityRange, encode_direct, encode_hybrid, encode_poisson_rate
 from .errors import ConfigurationError, EmissionError, IngestionError, SnnkitError
 from .metrics import EnergyCosts, energy, energy_ratio
-from .network import MULTI_SPIKE, ActivityCounters, NetworkSpec, evaluate
+from .network import MULTI_SPIKE, ActivityCounters, evaluate
 from .neuron import LayerParams
 
 ANN_MODEL = "ann.model"
@@ -53,6 +55,8 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
             (train01, train_labels, ds.train_images, ds.train_labels),
             (test01, test_labels, ds.test_images, ds.test_labels),
         ):
+            if not len(images):
+                raise IngestionError(f"{images_path}: holds no images")
             if len(images) != len(labels):
                 raise IngestionError(f"{labels_path}: {len(labels)} labels for the {len(images)} images in {images_path}")
     elif ds.format == "cifar-binary":
@@ -68,9 +72,9 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
     return data_mod.normalize_dataset(train01, train_labels, test01, test_labels)
 
 
-def make_encoder(cfg: ExperimentConfig, dataset: data_mod.Dataset, rng=None, timesteps=None):
+def make_encoder(cfg: ExperimentConfig, dataset: data_mod.Dataset, rng=None):
     """Batch encoder closure for the configured input coding."""
-    t = timesteps or cfg.network.total_timesteps
+    t = cfg.network.total_timesteps
     if cfg.encoder == HYBRID:
         rng_range = IntensityRange.from_images(dataset.train_images)
         return lambda images: encode_hybrid(images, rng_range, t)
@@ -170,7 +174,7 @@ class Experiment:
             rng = self.rngs["calibrate"]
             count = min(cfg.calibration.num_images, len(self.dataset.train_images))
             idx = rng.choice(len(self.dataset.train_images), size=count, replace=False)
-            calib_cfg = ann_mod.CalibrationConfig(**{**vars(cfg.calibration), "num_images": count})
+            calib_cfg = dataclasses.replace(cfg.calibration, num_images=count)
             self.thresholds = ann_mod.calibrate_thresholds(
                 ann_params, cfg.network, self.dataset.train_images[idx], calib_cfg
             )
@@ -191,10 +195,12 @@ class Experiment:
                     thresholds = json.load(fh)["thresholds"]
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise IngestionError(f"{path}: unreadable thresholds file: {exc!r}") from exc
+            # the upper bound also rejects NaN, infinities and ints too large for a float
             if not isinstance(thresholds, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in thresholds
+                isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= sys.float_info.max
+                for v in thresholds
             ):
-                raise IngestionError(f"{path}: 'thresholds' must be a list of numbers, got {thresholds!r}")
+                raise IngestionError(f"{path}: 'thresholds' must be a list of finite positive numbers, got {thresholds!r}")
             self.thresholds = thresholds
         return self.thresholds
 
@@ -211,15 +217,8 @@ class Experiment:
             cfg = self.cfg
             ann_params = self._require_ann()
             thresholds = self._require_thresholds()
-            unscaled = ann_mod.convert(
-                ann_params, thresholds, ann_mod.CalibrationConfig(**{**vars(cfg.calibration), "scaling": 1.0})
-            )
-            spec_calib = NetworkSpec(
-                layers=cfg.network.layers,
-                input_shape=cfg.network.input_shape,
-                num_classes=cfg.network.num_classes,
-                total_timesteps=cfg.calibration.calib_timesteps,
-            )
+            unscaled = ann_mod.convert(ann_params, thresholds, dataclasses.replace(cfg.calibration, scaling=1.0))
+            spec_calib = dataclasses.replace(cfg.network, total_timesteps=cfg.calibration.calib_timesteps)
             images, labels = _eval_slice(cfg, self.dataset.test_images, self.dataset.test_labels)
             self.report.accuracy_converted = evaluate(
                 spec_calib,
@@ -268,27 +267,26 @@ class Experiment:
 
         return self._timed("train-snn", run)
 
-    def eval(self, model_file: str = SNN_MODEL, counters: ActivityCounters | None = None):
+    def _infer(self, model_file: str, counters: ActivityCounters | None) -> float:
+        """Accuracy of a saved model (the fine-tuned one if still in memory) on the eval slice."""
+        cfg = self.cfg
+        params = self.snn_params if (self.snn_params and model_file == SNN_MODEL) else self._load_model(model_file)
+        encode = make_encoder(cfg, self.dataset, rng=np.random.default_rng(cfg.seed))
+        images, labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
+        return evaluate(cfg.network, params, images, labels, encode, neuron_model=cfg.neuron_model, counters=counters)
+
+    def eval(self, model_file: str = SNN_MODEL):
         def run():
-            cfg = self.cfg
-            params = self.snn_params if (self.snn_params and model_file == SNN_MODEL) else self._load_model(model_file)
-            encode = make_encoder(cfg, self.dataset, rng=np.random.default_rng(cfg.seed))
-            images, labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
-            acc = evaluate(cfg.network, params, images, labels, encode, neuron_model=cfg.neuron_model, counters=counters)
-            self.report.accuracy_finetuned = acc
-            return acc
+            self.report.accuracy_finetuned = self._infer(model_file, None)
+            return self.report.accuracy_finetuned
 
         return self._timed("eval", run)
 
     def profile(self, model_file: str = SNN_MODEL):
         def run():
-            cfg = self.cfg
-            params = self.snn_params if (self.snn_params and model_file == SNN_MODEL) else self._load_model(model_file)
-            counters = ActivityCounters(cfg.network)
-            encode = make_encoder(cfg, self.dataset, rng=np.random.default_rng(cfg.seed))
-            images, labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
-            evaluate(cfg.network, params, images, labels, encode, neuron_model=cfg.neuron_model, counters=counters)
-            self.report.energy = energy(cfg.network, counters, cfg.encoder, EnergyCosts())
+            counters = ActivityCounters(self.cfg.network)
+            self._infer(model_file, counters)
+            self.report.energy = energy(self.cfg.network, counters, self.cfg.encoder, EnergyCosts())
             return self.report.energy
 
         return self._timed("profile", run)

@@ -32,9 +32,6 @@ class TrainConfig:
     spike_time_band: float = 0.2
     epochs: int = 20
     batch_size: int = 32
-    momentum: float = 0.0
-    leak_min: float = 0.0
-    leak_max: float = 1.0
     threshold_floor: float = 1e-3
     # Relative step sizes for the shared per-layer threshold and leak. Their
     # gradients are sums over every neuron in a layer, so they move orders of
@@ -53,9 +50,6 @@ class TrainConfig:
         for name in ("threshold_lr_scale", "leak_lr_scale"):
             require(f"snn_train.{name}", getattr(self, name), getattr(self, name) >= 0, "non-negative")
         require("snn_train.lr_decay", self.lr_decay, 0 < self.lr_decay <= 1, "in (0, 1]")
-        require("snn_train.momentum", self.momentum, 0 <= self.momentum < 1, "in [0, 1)")
-        leaks = (self.leak_min, self.leak_max)
-        require("snn_train.leak_min/leak_max", leaks, 0 <= self.leak_min <= self.leak_max <= 1, "ordered within [0, 1]")
 
 
 @dataclass
@@ -230,10 +224,10 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
     return config.lr * config.lr_decay ** (epoch // config.lr_decay_every)
 
 
-def optimizer_step(params: list, grads: GradientSet, config: TrainConfig, epoch: int, velocity=None):
-    """One SGD update of weights, thresholds, and leaks with clamping.
+def optimizer_step(params: list, grads: GradientSet, config: TrainConfig, epoch: int) -> list:
+    """One SGD update of weights, thresholds, and leaks.
 
-    Returns (new_params, velocity); velocity stays None when momentum is 0.
+    Thresholds are floored at ``threshold_floor``; hidden leaks are clamped to [0, 1].
     """
     for g in grads.weight:
         if not np.all(np.isfinite(g)):
@@ -242,28 +236,18 @@ def optimizer_step(params: list, grads: GradientSet, config: TrainConfig, epoch:
         raise TrainingError("non-finite threshold or leak gradient")
 
     lr = lr_at(config, epoch)
-    if config.momentum > 0.0:
-        if velocity is None:
-            velocity = [np.zeros_like(p.weights) for p in params]
-        for v, g in zip(velocity, grads.weight):
-            v *= config.momentum
-            v += g
-        weight_steps = velocity
-    else:
-        weight_steps = grads.weight
-
     out = []
     last = len(params) - 1
     for i, p in enumerate(params):
-        w = (p.weights - lr * weight_steps[i]).astype(p.weights.dtype)
+        w = (p.weights - lr * grads.weight[i]).astype(p.weights.dtype)
         v = max(p.threshold - lr * config.threshold_lr_scale * grads.threshold[i], config.threshold_floor)
         if i == last:
             leak = p.leak
         else:
             leak = p.leak - lr * config.leak_lr_scale * grads.leak[i]
-            leak = min(max(leak, config.leak_min), config.leak_max)
+            leak = min(max(leak, 0.0), 1.0)
         out.append(LayerParams(weights=w, threshold=float(v), leak=float(leak)))
-    return out, velocity
+    return out
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -280,7 +264,6 @@ def train_snn(
     rng: np.random.Generator,
     neuron_model: str = SINGLE_SPIKE,
     eval_set=None,
-    eval_encode=None,
 ):
     """Fine-tune converted parameters with the hybrid loss over T timesteps.
 
@@ -291,7 +274,6 @@ def train_snn(
     params = list(params)
     n = len(images)
     history = {"loss": [], "accuracy": []}
-    velocity = None
     best = (-1.0, params)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -305,13 +287,11 @@ def train_snn(
                 raise TrainingError(f"SNN training diverged at epoch {epoch}: loss={loss.loss}")
             grads = backward(trace, params, loss, config)
             del trace  # free this batch's trace before the next forward builds one
-            params, velocity = optimizer_step(params, grads, config, epoch, velocity)
+            params = optimizer_step(params, grads, config, epoch)
             losses.append(loss.loss)
         history["loss"].append(float(np.mean(losses)))
         if eval_set is not None:
-            acc = evaluate(
-                spec, params, eval_set[0], eval_set[1], eval_encode or encode, neuron_model=neuron_model
-            )
+            acc = evaluate(spec, params, eval_set[0], eval_set[1], encode, neuron_model=neuron_model)
             history["accuracy"].append(acc)
             if acc > best[0]:
                 best = (acc, params)

@@ -266,8 +266,6 @@ class TestExitCodes:
             ("snn_train", "epochs", -1),
             ("snn_train", "epochs", 0),
             ("snn_train", "batch_size", 0),
-            ("snn_train", "leak_min", 2.0),
-            ("snn_train", "momentum", 1.0),
             ("snn_train", "lr_decay", float("nan")),
             ("ann_train", "batch_size", 0),
             ("ann_train", "epochs", 2.5),
@@ -282,6 +280,19 @@ class TestExitCodes:
         d[section][field] = value
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [(None, "neuron_modle", "multi_spike"), (None, "snn_trian", {"epochs": 1}), ("network", "timesteps", 5)],
+    )
+    def test_unknown_key_exits_2(self, tiny_root, capsys, section, key, value):
+        root, paths = tiny_root
+        d = tiny_config(root, paths, "out_unknown_key").to_dict()
+        (d[section] if section else d)[key] = value
+        cfg_path = root / "unknown_key.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli.main(["train-ann", "--config", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_zero_epoch_train_snn_is_config_error(self, tiny_root, capsys):
         root, paths = tiny_root
@@ -324,8 +335,15 @@ class TestExitCodes:
             '{"thresholds": {"conv1": 0.5}}',
             '{"thresholds": ["a", "b"]}',
             '{"thresholds": [true, 0.5]}',
+            '{"thresholds": [Infinity, 0.5]}',
+            '{"thresholds": [0.5, NaN]}',
+            '{"thresholds": [0.0, 0.5]}',
+            '{"thresholds": [0.5, -1.0]}',
         ],
-        ids=["bad-json", "not-an-object", "no-key", "number", "object", "strings", "bool"],
+        ids=[
+            "bad-json", "not-an-object", "no-key", "number", "object", "strings", "bool",
+            "infinite", "nan", "zero", "negative",
+        ],
     )
     def test_malformed_thresholds_is_ingestion_error(self, tiny_root, capsys, content):
         root, paths = tiny_root
@@ -359,6 +377,18 @@ class TestExitCodes:
         cfg_path = write_config(root, cfg, f"count_{split}{extra}.json")
         assert cli.main(["train-ann", "--config", cfg_path]) == 3
         assert f"{len(labels)} labels for the" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_idx_split_is_ingestion_error(self, tiny_root, capsys, split):
+        root, paths = tiny_root
+        images, labels = root / f"empty-{split}-images.idx", root / f"empty-{split}-labels.idx"
+        data.write_idx_images(images, np.zeros((0, 1, 28, 28), np.float32))
+        data.write_idx_labels(labels, np.zeros(0, np.uint8))
+        split_paths = {f"{split}_images": str(images), f"{split}_labels": str(labels)}
+        cfg = tiny_config(root, dict(paths, **split_paths), f"out_empty_{split}")
+        cfg_path = write_config(root, cfg, f"empty_{split}.json")
+        assert cli.main(["run-all", "--config", cfg_path]) == 3
+        assert "holds no images" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "layers, shape",

@@ -97,15 +97,6 @@ class TestFlops:
         )
         assert flops(spec) == [1000]
 
-    def test_zero_activity_gives_zero_snn_flops(self):
-        f_ann, f_snn = flops(self.spec(), input_activity=[0.0, 0.0])
-        assert f_snn == [0.0, 0.0]
-        assert f_ann[0] > 0
-
-    def test_activity_length_checked(self):
-        with pytest.raises(ConfigurationError):
-            flops(self.spec(), input_activity=[1.0])
-
 
 class TestEnergy:
     def toy(self, encoding_mode, threshold=0.6):
@@ -174,13 +165,6 @@ class TestEnergy:
         report = energy(spec, counters, HYBRID)
         again = EnergyReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert again == report
-
-    def test_costs_loadable_from_json(self, tmp_path):
-        path = tmp_path / "costs.json"
-        path.write_text('{"e_mac_pj": 4.6, "e_ac_pj": 0.9}')
-        costs = EnergyCosts.from_json(path)
-        assert costs.e_mac_pj == 4.6
-        assert costs.e_ac_pj == 0.9
 
     def test_unknown_encoding_rejected(self):
         spec, counters, _ = self.toy(DIRECT)

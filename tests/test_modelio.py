@@ -67,9 +67,10 @@ def one_layer_model(ndim, dims, threshold=0.5, leak=1.0, payload=b""):
         (one_layer_model(2, (0xFFFFFFFF, 0xFFFFFFFF), payload=bytes(16)), "weights"),
         (one_layer_model(2, (0xFFFFFFFF, 2), payload=bytes(16)), "weights"),
         (one_layer_model(1, (2,), threshold=-0.5, payload=bytes(8)), "threshold must be positive"),
+        (one_layer_model(1, (2,), threshold=float("inf"), payload=bytes(8)), "threshold must be positive and finite"),
         (one_layer_model(1, (2,), leak=1.5, payload=bytes(8)), "leak must lie"),
     ],
-    ids=["ndim", "dims-overflow", "dims-huge", "negative-threshold", "leak-above-1"],
+    ids=["ndim", "dims-overflow", "dims-huge", "negative-threshold", "infinite-threshold", "leak-above-1"],
 )
 def test_corrupt_header_is_ingestion_error(tmp_path, blob, message):
     path = tmp_path / "model.bin"

@@ -197,7 +197,7 @@ class TestOptimizer:
     def test_zero_gradients_leave_params_unchanged(self):
         spec = toy_spec()
         params = toy_params(spec, numerics.make_rng(8))
-        out, _ = optimizer_step(params, self._grads(params), TrainConfig(), 0)
+        out = optimizer_step(params, self._grads(params), TrainConfig(), 0)
         for a, b in zip(out, params):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.threshold == b.threshold
@@ -206,7 +206,7 @@ class TestOptimizer:
     def test_sgd_arithmetic(self):
         params = [LayerParams(np.array([[1.0]], np.float32), 1.0, 1.0)]
         grads = GradientSet(weight=[np.array([[0.5]], np.float32)], threshold=[0.0], leak=[0.0])
-        out, _ = optimizer_step(params, grads, TrainConfig(lr=0.1), 0)
+        out = optimizer_step(params, grads, TrainConfig(lr=0.1), 0)
         assert out[0].weights[0, 0] == pytest.approx(0.95)
 
     def test_leak_clamped_to_zero(self):
@@ -215,20 +215,20 @@ class TestOptimizer:
             LayerParams(np.zeros((2, 2), np.float32), 1.0, 1.0),
         ]
         grads = GradientSet(weight=[np.zeros((2, 2), np.float32)] * 2, threshold=[0.0, 0.0], leak=[1.0, 0.0])
-        out, _ = optimizer_step(params, grads, TrainConfig(lr=0.1), 0)
+        out = optimizer_step(params, grads, TrainConfig(lr=0.1), 0)
         assert out[0].leak == 0.0
 
     def test_threshold_floor(self):
         params = [LayerParams(np.zeros((1, 1), np.float32), 0.01, 1.0)]
         grads = GradientSet(weight=[np.zeros((1, 1), np.float32)], threshold=[10.0], leak=[0.0])
-        out, _ = optimizer_step(params, grads, TrainConfig(lr=0.1), 0)
+        out = optimizer_step(params, grads, TrainConfig(lr=0.1), 0)
         assert out[0].threshold == pytest.approx(1e-3)
 
     def test_output_leak_is_not_trained(self):
         spec = toy_spec()
         params = toy_params(spec, numerics.make_rng(9))
         grads = self._grads(params, leak=5.0)
-        out, _ = optimizer_step(params, grads, TrainConfig(lr=0.1), 0)
+        out = optimizer_step(params, grads, TrainConfig(lr=0.1), 0)
         assert out[-1].leak == params[-1].leak
 
     def test_nan_gradient_raises(self):
@@ -315,7 +315,7 @@ class TestTrainStep:
             out, trace = forward(spec, params, enc, mode=TRAIN, rng=numerics.make_rng(trial))
             loss0 = hybrid_loss(out, y)
             grads = backward(trace, params, loss0, cfg)
-            stepped, _ = optimizer_step(params, grads, cfg, 0)
+            stepped = optimizer_step(params, grads, cfg, 0)
             out1, _ = forward(spec, stepped, enc, mode=TRAIN, rng=numerics.make_rng(trial))
             loss1 = hybrid_loss(out1, y)
             improved += loss1.loss <= loss0.loss + 1e-9
