@@ -10,8 +10,11 @@ training, calibration, the forward pass and BPTT are loops over the stages.
 
 The forward pass runs the chosen encoder's per-timestep inputs through the
 stack, recording the temporal trace needed by backpropagation-through-time
-in train mode, or lightweight activity counters in infer mode. A pass that
-keeps no trace updates each layer's neuron state in place after the first step.
+in train mode, or lightweight activity counters in infer mode. The conv
+stages run block by block over the samples, each cache-sized block through
+all T steps; the fc stages then run step by step on the whole batch. A pass
+that keeps no trace updates each layer's neuron state in place after the
+first step.
 """
 
 from __future__ import annotations
@@ -299,12 +302,23 @@ class ActivityCounters:
         self.per_neuron_spikes = [np.zeros((0,) + s.out_shape, dtype=np.int32) for s in self.spec.stages[:-1]]
         return self
 
+    def add_samples(self, batch: int):
+        """Count ``batch`` more samples; returns their zeroed per-neuron tally rows, or None if untracked.
 
-def reset(spec: NetworkSpec, batch: int = 1, dtype=np.float32):
-    """Fresh zeroed neuron states for every weighted layer."""
-    hidden = [NeuronState.zeros((batch,) + s.out_shape, dtype=dtype) for s in spec.stages[:-1]]
-    out = OutputState.zeros((batch, spec.num_classes), dtype=dtype)
-    return hidden, out
+        Each tally is a leading row slice of a zeroed buffer that doubles when
+        full, so tallying n samples over many calls copies O(n) rows in all.
+        """
+        self.samples += batch
+        if self.per_neuron_spikes is None:
+            return None
+        for h, tally in enumerate(self.per_neuron_spikes):
+            n = len(tally)
+            buf = tally if tally.base is None else tally.base
+            if len(buf) < n + batch:
+                buf = np.zeros((max(2 * len(buf), n + batch),) + tally.shape[1:], dtype=np.int32)
+                buf[:n] = tally
+            self.per_neuron_spikes[h] = buf[: n + batch]
+        return [tally[len(tally) - batch :] for tally in self.per_neuron_spikes]
 
 
 def check_params(spec: NetworkSpec, params: list):
@@ -398,6 +412,10 @@ def input_adjoint(stage: Stage, weights, d_out):
 
 # -- the T-timestep pass ------------------------------------------------------
 
+# Bytes of im2col columns that one block of samples may hold in the conv prefix of
+# ``forward``: the largest conv stage's columns for a block fit in a core's L2 cache.
+BUDGET = 2 << 20
+
 
 def forward(
     spec: NetworkSpec,
@@ -413,6 +431,17 @@ def forward(
 
     Returns (OutputState, TemporalTrace-or-None). A batch is recognized by a
     leading extra axis on the encoded arrays relative to spec.input_shape.
+
+    The conv stages, always a prefix of the stack since an fc layer flattens,
+    run block-major: one block of samples goes through all T steps, with its
+    own neuron states and held analog-frame current, before the next block
+    starts, so its states, currents and columns stay in cache. Each block
+    writes its rows of every step's first-fc operand (and of the trace) into
+    full-batch arrays, and the fc tail then runs time-major on the whole
+    batch. This gives the bits of a time-major pass over the whole batch: a
+    conv current is a per-sample batched matmul, pooling, dropout and neuron
+    steps are elementwise, counters are integer sums, and the fc GEMMs keep
+    their row count.
     """
     check_params(spec, params)
     if encoded.total_timesteps != spec.total_timesteps:
@@ -433,12 +462,13 @@ def forward(
         raise ConfigurationError(f"input shape {pixel_shape} does not match spec {spec.input_shape}")
 
     dtype = params[0].weights.dtype
-    hidden_states, out_state = reset(spec, batch, dtype=dtype)
     masks = sample_dropout_masks(spec, batch, rng, dtype) if mode == TRAIN else [None] * len(spec.layers)
 
     stages = spec.stages
     n_hidden = len(stages) - 1
+    total_t = spec.total_timesteps
     step = single_spike_step if neuron_model == SINGLE_SPIKE else lif_step
+    analog_steps = encoded.analog_steps
 
     trace = None
     if with_trace:
@@ -447,62 +477,92 @@ def forward(
             mode=mode,
             neuron_model=neuron_model,
             thresholds=[p.threshold for p in params[:n_hidden]],
-            layer_inputs=[[] for _ in stages],
-            membranes=[[] for _ in range(n_hidden)],
-            output_membranes=[],
+            layer_inputs=[[None] * total_t for _ in stages],
+            membranes=[[None] * total_t for _ in range(n_hidden)],
+            output_membranes=[None] * total_t,
             dropout_masks=masks,
         )
-    if counters is not None:
-        counters.samples += batch
-        if counters.per_neuron_spikes is not None:
-            for h in range(n_hidden):
-                counters.per_neuron_spikes[h] = np.concatenate(
-                    [counters.per_neuron_spikes[h], np.zeros((batch,) + stages[h].out_shape, np.int32)]
-                )
+    tallies = None if counters is None else counters.add_samples(batch)
+    split = next(i for i, s in enumerate(stages) if isinstance(s.layer, FullyConnected))
+    operands = [None] * total_t  # the first fc stage's operand at each step, full batch
 
-    analog_steps = encoded.analog_steps
-    held = None  # the first stage's (operand, current), kept while the next step repeats the analog frame
-    for t in range(1, spec.total_timesteps + 1):
-        if held is None:
-            x = np.asarray(encoded.input_at(t), dtype=dtype)
-            if not batched:
-                x = x[None]
-        for i, stage in enumerate(stages):
-            p = params[i]
-            if i == 0 and held is not None:
-                x, drive = held
-            else:
-                x = apply_pre(stage, x, masks)
-                cols = unfold(stage, x)
-                drive = current(stage, p.weights, cols)
-                if counters is not None and (i or t not in analog_steps):
-                    counters.accumulate_events[i] += int(np.count_nonzero(cols)) * p.weights.shape[0]
-                del cols  # a conv's columns are the step's largest array; free them before the neuron step
-            if i == 0:
-                held = (x, drive) if t in analog_steps and t + 1 in analog_steps else None
-            if with_trace:
-                trace.layer_inputs[i].append(x)
+    def slot(seq, t, rows, like):
+        """A block's rows of step t's full-batch array seq[t - 1], allocated like ``like`` on first use."""
+        if seq[t - 1] is None:
+            seq[t - 1] = np.empty((batch,) + like.shape[1:], dtype=like.dtype)
+        return seq[t - 1][rows]
 
-            if i == n_hidden:
-                out_state = output_step(out_state, p, drive, t, spec.total_timesteps)
+    def put(seq, t, rows, x):
+        """Store a block's rows of step t in seq[t - 1]; a block of the whole batch is stored as is."""
+        if len(x) == batch:
+            seq[t - 1] = x
+        else:
+            slot(seq, t, rows, x)[...] = x
+
+    def run(first, last, rows):
+        """Stages first..last-1 over the samples in ``rows``, all T steps; returns the output state, if reached."""
+        n = rows.stop - rows.start
+        states = {i: NeuronState.zeros((n,) + stages[i].out_shape, dtype=dtype) for i in range(first, min(last, n_hidden))}
+        out_state = OutputState.zeros((n, spec.num_classes), dtype=dtype)
+        rows_masks = [None if m is None else m[rows] for m in masks]
+        held = None  # the first stage's (operand, current), kept while the next step repeats the analog frame
+        for t in range(1, total_t + 1):
+            for i in range(first, last):
+                stage, p = stages[i], params[i]
+                if i == 0 and held is not None:
+                    x, drive = held
+                    if with_trace:  # one array for the repeated frame, as BPTT expects
+                        trace.layer_inputs[0][t - 1] = trace.layer_inputs[0][t - 2]
+                else:
+                    if i == 0:
+                        frame = np.asarray(encoded.input_at(t))
+                        x = apply_pre(stage, np.asarray((frame if batched else frame[None])[rows], dtype=dtype), rows_masks)
+                    elif i == first:
+                        x = operands[t - 1]  # pooled and masked by the conv prefix
+                    else:
+                        x = apply_pre(stage, x, rows_masks)
+                    cols = unfold(stage, x)
+                    drive = current(stage, p.weights, cols)
+                    if counters is not None and (i or t not in analog_steps):
+                        counters.accumulate_events[i] += int(np.count_nonzero(cols)) * p.weights.shape[0]
+                    del cols  # a conv's columns are the step's largest array; free them before the neuron step
+                    if with_trace:
+                        put(trace.layer_inputs[i], t, rows, x)
+                if i == 0:
+                    held = (x, drive) if t in analog_steps and t + 1 in analog_steps else None
+
+                if i == n_hidden:
+                    out_state = output_step(out_state, p, drive, t, total_t)
+                    if with_trace:
+                        trace.output_membranes[t - 1] = out_state.membrane
+                    continue
+                # A trace keeps every step's membrane, so a traced pass writes it into the trace and
+                # overwrites the rest of the state. An untraced pass overwrites the whole state, but only
+                # from step 2 on: allocated while step 1's currents are live, the state sits above each
+                # step's temporaries in the heap, so freeing them does not hand the heap top back to
+                # the OS to be faulted in again at the next step.
+                state = states[i]
                 if with_trace:
-                    trace.output_membranes.append(out_state.membrane)
-                continue
-            # A trace keeps every step's membrane, so only an untraced pass overwrites the state,
-            # and only from step 2 on: allocated while step 1's currents are live, the state sits
-            # above each step's temporaries in the heap, so freeing them does not hand the heap
-            # top back to the OS to be faulted in again at the next step.
-            in_place = not with_trace and t > 1
-            hidden_states[i], spikes = step(hidden_states[i], p, drive, out=hidden_states[i] if in_place else None)
-            if with_trace:
-                trace.membranes[i].append(hidden_states[i].membrane)
-            if counters is not None:
-                counters.output_spikes[i] += int(np.count_nonzero(spikes))
-                if counters.per_neuron_spikes is not None:
-                    counters.per_neuron_spikes[i][-batch:] += spikes.astype(np.int32)
-            x = spikes
+                    out = NeuronState(slot(trace.membranes[i], t, rows, state.membrane), state.norm_potential, state.has_spiked)
+                else:
+                    out = state if t > 1 else None
+                states[i], spikes = step(state, p, drive, out=out)
+                if counters is not None:
+                    counters.output_spikes[i] += int(np.count_nonzero(spikes))
+                    if tallies is not None:
+                        tallies[i][rows] += spikes.astype(np.int32)
+                x = spikes
+            if last < len(stages):
+                put(operands, t, rows, apply_pre(stages[last], x, rows_masks))
+        return out_state
 
-    return out_state, trace
+    if split:
+        itemsize = np.dtype(dtype).itemsize
+        col_bytes = max(math.prod(s.weight_shape[1:]) * math.prod(s.out_shape[1:]) * itemsize for s in stages[:split])
+        block = max(1, BUDGET // col_bytes)
+        for lo in range(0, batch, block):
+            run(0, split, slice(lo, min(lo + block, batch)))
+    return run(split, len(stages), slice(0, batch)), trace
 
 
 def readout_scores(output_state: OutputState) -> np.ndarray:

@@ -72,8 +72,8 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
     return data_mod.normalize_dataset(train01, train_labels, test01, test_labels)
 
 
-def make_encoder(cfg: ExperimentConfig, dataset: data_mod.Dataset, rng=None):
-    """Batch encoder closure for the configured input coding."""
+def make_encoder(cfg: ExperimentConfig, dataset: data_mod.Dataset, rng: np.random.Generator):
+    """Batch encoder closure for the configured input coding; ``rng`` drives the rate encoder's draws."""
     t = cfg.network.total_timesteps
     if cfg.encoder == HYBRID:
         rng_range = IntensityRange.from_images(dataset.train_images)
@@ -81,8 +81,6 @@ def make_encoder(cfg: ExperimentConfig, dataset: data_mod.Dataset, rng=None):
     if cfg.encoder == DIRECT:
         return lambda images: encode_direct(images, t)
     if cfg.encoder == RATE:
-        if rng is None:
-            raise ConfigurationError("the rate encoder needs an RNG")
         return lambda images01: encode_poisson_rate(images01, t, rng)
     raise ConfigurationError(f"unknown encoder {cfg.encoder!r}")
 
@@ -201,6 +199,9 @@ class Experiment:
                 for v in thresholds
             ):
                 raise IngestionError(f"{path}: 'thresholds' must be a list of finite positive numbers, got {thresholds!r}")
+            layers = len(self.cfg.network.stages)
+            if len(thresholds) != layers:
+                raise IngestionError(f"{path}: {len(thresholds)} thresholds for the {layers} weighted layers of the network")
             self.thresholds = thresholds
         return self.thresholds
 

@@ -339,10 +339,12 @@ class TestExitCodes:
             '{"thresholds": [0.5, NaN]}',
             '{"thresholds": [0.0, 0.5]}',
             '{"thresholds": [0.5, -1.0]}',
+            '{"thresholds": [0.5]}',
+            '{"thresholds": [0.5, 0.5, 0.5]}',
         ],
         ids=[
             "bad-json", "not-an-object", "no-key", "number", "object", "strings", "bool",
-            "infinite", "nan", "zero", "negative",
+            "infinite", "nan", "zero", "negative", "too-few", "too-many",
         ],
     )
     def test_malformed_thresholds_is_ingestion_error(self, tiny_root, capsys, content):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from snnkit import numerics, training
+from snnkit import network, numerics, training
 from snnkit.encoding import IntensityRange, encode_direct, encode_hybrid
 from snnkit.errors import ConfigurationError
 from snnkit.network import (
@@ -18,7 +20,6 @@ from snnkit.network import (
     forward,
     predict,
     readout_scores,
-    reset,
 )
 from snnkit.neuron import LayerParams
 
@@ -173,13 +174,6 @@ class TestForward:
         for t in range(4):
             assert a[1].membranes[0][t].tobytes() == b[1].membranes[0][t].tobytes()
 
-    def test_reset_gives_zero_states(self):
-        spec = fc_spec()
-        hidden, out = reset(spec, batch=3)
-        assert not hidden[0].membrane.any()
-        assert not hidden[0].has_spiked.any()
-        assert (out.spike_time == 0).all()
-
     def test_single_spike_bound(self):
         rng = numerics.make_rng(11)
         spec = fc_spec(t=8, hidden=16, inputs=6, classes=4)
@@ -300,6 +294,116 @@ class TestAnalogFrameReuse:
     def test_hybrid_input_is_unfolded_every_step(self, monkeypatch, mode):
         calls = self.counted_unfolds(monkeypatch, lambda x: encode_hybrid(x, UNIT, self.T), mode)
         assert calls == {"forward": self.T, "bptt": self.T if mode == TRAIN else 0}
+
+
+class TestBlockMajorPrefix:
+    """The conv prefix runs block by block over the samples; every block size gives the whole-batch bits."""
+
+    T = 4
+    BATCH = 7
+
+    def spec(self):
+        return NetworkSpec(
+            layers=(
+                Dropout(0.2),
+                Conv(3, 3, padding=1),
+                AvgPool(2),
+                Dropout(0.3),
+                Conv(4, 3),
+                FullyConnected(6),
+                Dropout(0.25),
+                FullyConnected(3),
+            ),
+            input_shape=(2, 8, 8),
+            num_classes=3,
+            total_timesteps=self.T,
+        )
+
+    @staticmethod
+    def budget_for(spec, block):
+        """A BUDGET that makes the prefix run ``block`` samples at a time (float32 columns)."""
+        per_sample = max(
+            math.prod(s.weight_shape[1:]) * math.prod(s.out_shape[1:]) * 4 for s in spec.stages if isinstance(s.layer, Conv)
+        )
+        return block * per_sample
+
+    def run(self, monkeypatch, block, encoding, neuron_model, mode):
+        spec = self.spec()
+        if block is not None:
+            monkeypatch.setattr(network, "BUDGET", self.budget_for(spec, block))
+        rng = numerics.make_rng(6)
+        params = [LayerParams(rng.normal(0.15, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        images = rng.random((self.BATCH,) + spec.input_shape).astype(np.float32)
+        encoded = encode_hybrid(images, UNIT, self.T) if encoding == "hybrid" else encode_direct(images, self.T)
+        counters = ActivityCounters(spec).track_per_neuron()
+        out, trace = forward(
+            spec, params, encoded, mode=mode, rng=numerics.make_rng(3), neuron_model=neuron_model, counters=counters
+        )
+        return out, trace, counters
+
+    @staticmethod
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("neuron_model", [SINGLE_SPIKE, MULTI_SPIKE])
+    @pytest.mark.parametrize("encoding", ["hybrid", "direct"])
+    @pytest.mark.parametrize("mode", [TRAIN, INFER])
+    def test_any_block_size_gives_the_whole_batch_bits(self, monkeypatch, block, neuron_model, encoding, mode):
+        want_out, want_trace, want = self.run(monkeypatch, None, encoding, neuron_model, mode)
+        got_out, got_trace, got = self.run(monkeypatch, block, encoding, neuron_model, mode)
+
+        assert self.same(got_out.membrane, want_out.membrane) and self.same(got_out.spike_time, want_out.spike_time)
+        assert got.samples == want.samples == self.BATCH
+        assert got.output_spikes == want.output_spikes and sum(want.output_spikes) > 0
+        assert got.accumulate_events == want.accumulate_events
+        assert all(self.same(g, w) for g, w in zip(got.per_neuron_spikes, want.per_neuron_spikes))
+        if mode == INFER:
+            assert got_trace is None and want_trace is None
+            return
+        assert sum(m is not None for m in want_trace.dropout_masks) == 3
+        assert all(
+            g is None and w is None or self.same(g, w) for g, w in zip(got_trace.dropout_masks, want_trace.dropout_masks)
+        )
+        for field in ("layer_inputs", "membranes", "norm_potentials", "reset_gates", "hidden_spikes"):
+            for g_layer, w_layer in zip(getattr(got_trace, field), getattr(want_trace, field)):
+                assert len(g_layer) == len(w_layer) == self.T
+                assert all(self.same(g, w) for g, w in zip(g_layer, w_layer)), field
+        assert all(self.same(g, w) for g, w in zip(got_trace.output_membranes, want_trace.output_membranes))
+        # the direct frame stays one array over the steps, so BPTT unfolds it once
+        inputs = got_trace.layer_inputs[0]
+        assert all((a is b) == (encoding == "direct") for a, b in zip(inputs, inputs[1:]))
+
+    @pytest.mark.parametrize("block,blocks", [(1, 7), (3, 3), (7, 1)])
+    @pytest.mark.parametrize("encoding", ["hybrid", "direct"])
+    def test_each_block_unfolds_its_own_inputs(self, monkeypatch, block, blocks, encoding):
+        calls = [0]
+        im2col = numerics.im2col
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return im2col(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "im2col", counting)
+        self.run(monkeypatch, block, encoding, SINGLE_SPIKE, INFER)
+        first = self.T if encoding == "hybrid" else 1  # a direct frame is unfolded once per block
+        assert calls[0] == blocks * (first + self.T)
+
+    def test_per_neuron_tallies_grow_by_rows_over_calls(self, monkeypatch):
+        spec = self.spec()
+        rng = numerics.make_rng(1)
+        params = [LayerParams(rng.normal(0.15, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        images = rng.random((10,) + spec.input_shape).astype(np.float32)
+        whole = ActivityCounters(spec).track_per_neuron()
+        forward(spec, params, encode_hybrid(images, UNIT, self.T), counters=whole)
+        parts = ActivityCounters(spec).track_per_neuron()
+        for lo, hi in ((0, 1), (1, 4), (4, 10)):
+            forward(spec, params, encode_hybrid(images[lo:hi], UNIT, self.T), counters=parts)
+        assert parts.samples == whole.samples == 10
+        for g, w, stage in zip(parts.per_neuron_spikes, whole.per_neuron_spikes, spec.stages):
+            assert g.dtype == np.int32 and g.shape == (10,) + stage.out_shape
+            assert self.same(g, w)
+        assert any(w.any() for w in whole.per_neuron_spikes)
 
 
 class TestTraceStorage:
