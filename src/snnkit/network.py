@@ -321,6 +321,13 @@ class ActivityCounters:
         return [tally[len(tally) - batch :] for tally in self.per_neuron_spikes]
 
 
+def reset(spec: NetworkSpec, batch: int = 1, dtype=np.float32):
+    """Fresh zeroed neuron states for every weighted layer."""
+    hidden = [NeuronState.zeros((batch,) + s.out_shape, dtype=dtype) for s in spec.stages[:-1]]
+    out = OutputState.zeros((batch, spec.num_classes), dtype=dtype)
+    return hidden, out
+
+
 def check_params(spec: NetworkSpec, params: list):
     expected = spec.weight_shapes()
     if len(params) != len(expected):
@@ -460,6 +467,8 @@ def forward(
         batch = pixel_shape[0]
     else:
         raise ConfigurationError(f"input shape {pixel_shape} does not match spec {spec.input_shape}")
+    if batch == 0:
+        raise ContractViolation("forward needs at least one sample")
 
     dtype = params[0].weights.dtype
     masks = sample_dropout_masks(spec, batch, rng, dtype) if mode == TRAIN else [None] * len(spec.layers)

@@ -9,11 +9,14 @@ their reset from the state alone: the multi-spike rule takes the previous
 spikes as an argument, and the single-spike rule freezes a fired neuron in
 infer mode. ``network.forward`` and ``training.backward`` must reproduce
 them bit for bit: membranes, spike times, activity counters, dropout masks,
-and threshold and leak gradients. The reference sums each weight gradient
+and threshold and leak gradients, also when the conv prefix runs in blocks
+of fewer samples than the batch. The reference sums each weight gradient
 with per-step einsums; ``network.weight_grad`` sums in another order through
 BLAS, so weight gradients must agree to ``WEIGHT_GRAD_RTOL`` of the layer's
 largest gradient entry, with dtype and shape equal.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -269,3 +272,15 @@ def test_infer_counters_match_reference(encoding, neuron_model):
     assert got.output_spikes == ref.output_spikes and sum(ref.output_spikes) > 0
     assert got.accumulate_events == ref.accumulate_events
     assert all(same(g, w) for g, w in zip(got.per_neuron_spikes, ref.per_neuron_spikes))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("encoding,neuron_model", CASES)
+def test_blocked_conv_prefix_matches_reference(monkeypatch, block, encoding, neuron_model):
+    """The conv prefix runs ``block`` samples at a time (3 leaves a short last block of BATCH)."""
+    per_sample = max(
+        math.prod(s.weight_shape[1:]) * math.prod(s.out_shape[1:]) * 4 for s in stack_spec().stages if isinstance(s.layer, Conv)
+    )
+    monkeypatch.setattr(network, "BUDGET", block * per_sample)
+    test_train_forward_and_backward_match_reference(encoding, neuron_model)
+    test_infer_counters_match_reference(encoding, neuron_model)
