@@ -63,7 +63,7 @@ def main():
                               rng=numerics.make_rng(1), batch_size=64)
     print(f"ANN accuracy: {ann.ann_accuracy(spec, params, ds.test_images, ds.test_labels):.2f}%")
 
-    calib = ann.CalibrationConfig(num_images=256, calib_timesteps=60)
+    calib = ann.CalibrationConfig(num_images=min(256, len(ds.train_images)), calib_timesteps=60)
     rng = numerics.make_rng(2)
     idx = rng.choice(len(ds.train_images), size=calib.num_images, replace=False)
     thresholds = ann.calibrate_thresholds(params, spec, ds.train_images[idx], calib)

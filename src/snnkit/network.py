@@ -216,22 +216,24 @@ class TemporalTrace:
     """What backpropagation through time reads from a traced forward pass.
 
     Indexing: hidden weighted layers are 0..H-1 in network order; the output
-    layer's per-step inputs and membranes are kept separately. Every list
-    over time has length T. Of a hidden layer's state only the membrane is
-    stored per step: ``norm_potentials``, ``reset_gates`` and
-    ``hidden_spikes`` are derived from the membranes on access, through the
-    step rule's own expressions, so they equal what the pass computed bit for
-    bit. BPTT needs a train-mode trace: only that one carries the dropout
-    masks the forward pass applied.
+    layer's membranes are kept separately. Each record over time is one
+    time-major (T, B, ...) array, indexed [t-1] for step t. Direct coding
+    feeds the first layer the same frame at every step, so that layer's input
+    is one (B, ...) frame viewed at stride 0 over T. Of a hidden layer's
+    state only the membrane is stored per step: ``norm_potentials``,
+    ``reset_gates`` and ``hidden_spikes`` are derived from the membranes on
+    access, through the step rule's own expressions, so they equal what the
+    pass computed bit for bit. BPTT needs a train-mode trace: only that one
+    carries the dropout masks the forward pass applied.
     """
 
     spec: "NetworkSpec"
     mode: str
     neuron_model: str
     thresholds: list          # [hidden_idx] threshold the pass ran with
-    layer_inputs: list        # [weighted_idx][t-1] input fed to that layer's weights
-    membranes: list           # [hidden_idx][t-1] membrane after the step
-    output_membranes: list    # [t-1] output accumulator after the step
+    layer_inputs: list        # [weighted_idx] (T, B) + operand_shape: input fed to that layer's weights
+    membranes: list           # [hidden_idx] (T, B) + out_shape: membrane after the step
+    output_membranes: np.ndarray  # (T, B, classes): output accumulator after the step
     dropout_masks: list       # per descriptor index, None when absent
 
     def rules(self):
@@ -319,13 +321,6 @@ class ActivityCounters:
                 buf[:n] = tally
             self.per_neuron_spikes[h] = buf[: n + batch]
         return [tally[len(tally) - batch :] for tally in self.per_neuron_spikes]
-
-
-def reset(spec: NetworkSpec, batch: int = 1, dtype=np.float32):
-    """Fresh zeroed neuron states for every weighted layer."""
-    hidden = [NeuronState.zeros((batch,) + s.out_shape, dtype=dtype) for s in spec.stages[:-1]]
-    out = OutputState.zeros((batch, spec.num_classes), dtype=dtype)
-    return hidden, out
 
 
 def check_params(spec: NetworkSpec, params: list):
@@ -443,12 +438,12 @@ def forward(
     run block-major: one block of samples goes through all T steps, with its
     own neuron states and held analog-frame current, before the next block
     starts, so its states, currents and columns stay in cache. Each block
-    writes its rows of every step's first-fc operand (and of the trace) into
-    full-batch arrays, and the fc tail then runs time-major on the whole
-    batch. This gives the bits of a time-major pass over the whole batch: a
-    conv current is a per-sample batched matmul, pooling, dropout and neuron
-    steps are elementwise, counters are integer sums, and the fc GEMMs keep
-    their row count.
+    writes its rows of the first fc stage's operand (and of the trace) into
+    time-major (T, B, ...) arrays, and the fc tail then runs time-major on
+    the whole batch. This gives the bits of a time-major pass over the whole
+    batch: a conv current is a per-sample batched matmul, pooling, dropout
+    and neuron steps are elementwise, counters are integer sums, and the fc
+    GEMMs keep their row count.
     """
     check_params(spec, params)
     if encoded.total_timesteps != spec.total_timesteps:
@@ -478,6 +473,15 @@ def forward(
     total_t = spec.total_timesteps
     step = single_spike_step if neuron_model == SINGLE_SPIKE else lif_step
     analog_steps = encoded.analog_steps
+    repeats = len(analog_steps) == total_t  # direct coding: the first layer reads one frame at every step
+    split = next(i for i, s in enumerate(stages) if isinstance(s.layer, FullyConnected))
+
+    def over_time(shape, repeated=False):
+        """A (T, batch) + shape array; a repeated one is a single frame viewed at stride 0 over T."""
+        if not repeated:
+            return np.empty((total_t, batch) + shape, dtype=dtype)
+        frame = np.empty((batch,) + shape, dtype=dtype)
+        return np.lib.stride_tricks.as_strided(frame, (total_t,) + frame.shape, (0,) + frame.strides)
 
     trace = None
     if with_trace:
@@ -486,27 +490,16 @@ def forward(
             mode=mode,
             neuron_model=neuron_model,
             thresholds=[p.threshold for p in params[:n_hidden]],
-            layer_inputs=[[None] * total_t for _ in stages],
-            membranes=[[None] * total_t for _ in range(n_hidden)],
-            output_membranes=[None] * total_t,
+            layer_inputs=[over_time(s.operand_shape, i == 0 and repeats) for i, s in enumerate(stages)],
+            membranes=[over_time(s.out_shape) for s in stages[:n_hidden]],
+            output_membranes=over_time((spec.num_classes,)),
             dropout_masks=masks,
         )
+        operands = trace.layer_inputs[split]
+    else:
+        operands = over_time(stages[split].operand_shape) if split else None
+    # operands[t - 1] is the first fc stage's operand at step t, written block by block by the conv prefix
     tallies = None if counters is None else counters.add_samples(batch)
-    split = next(i for i, s in enumerate(stages) if isinstance(s.layer, FullyConnected))
-    operands = [None] * total_t  # the first fc stage's operand at each step, full batch
-
-    def slot(seq, t, rows, like):
-        """A block's rows of step t's full-batch array seq[t - 1], allocated like ``like`` on first use."""
-        if seq[t - 1] is None:
-            seq[t - 1] = np.empty((batch,) + like.shape[1:], dtype=like.dtype)
-        return seq[t - 1][rows]
-
-    def put(seq, t, rows, x):
-        """Store a block's rows of step t in seq[t - 1]; a block of the whole batch is stored as is."""
-        if len(x) == batch:
-            seq[t - 1] = x
-        else:
-            slot(seq, t, rows, x)[...] = x
 
     def run(first, last, rows):
         """Stages first..last-1 over the samples in ``rows``, all T steps; returns the output state, if reached."""
@@ -514,31 +507,28 @@ def forward(
         states = {i: NeuronState.zeros((n,) + stages[i].out_shape, dtype=dtype) for i in range(first, min(last, n_hidden))}
         out_state = OutputState.zeros((n, spec.num_classes), dtype=dtype)
         rows_masks = [None if m is None else m[rows] for m in masks]
-        held = None  # the first stage's (operand, current), kept while the next step repeats the analog frame
         for t in range(1, total_t + 1):
             for i in range(first, last):
                 stage, p = stages[i], params[i]
-                if i == 0 and held is not None:
-                    x, drive = held
-                    if with_trace:  # one array for the repeated frame, as BPTT expects
-                        trace.layer_inputs[0][t - 1] = trace.layer_inputs[0][t - 2]
+                if i == 0 and repeats and t > 1:
+                    drive = held  # the frame repeats, and the trace's stride-0 frame already holds it
                 else:
                     if i == 0:
                         frame = np.asarray(encoded.input_at(t))
-                        x = apply_pre(stage, np.asarray((frame if batched else frame[None])[rows], dtype=dtype), rows_masks)
-                    elif i == first:
-                        x = operands[t - 1]  # pooled and masked by the conv prefix
+                        x = np.asarray((frame if batched else frame[None])[rows], dtype=dtype)
+                    if i == first and i:
+                        x = operands[t - 1]  # pooled and masked by the conv prefix, and traced there
                     else:
                         x = apply_pre(stage, x, rows_masks)
+                        if with_trace:
+                            trace.layer_inputs[i][t - 1, rows] = x
                     cols = unfold(stage, x)
                     drive = current(stage, p.weights, cols)
                     if counters is not None and (i or t not in analog_steps):
                         counters.accumulate_events[i] += int(np.count_nonzero(cols)) * p.weights.shape[0]
                     del cols  # a conv's columns are the step's largest array; free them before the neuron step
-                    if with_trace:
-                        put(trace.layer_inputs[i], t, rows, x)
-                if i == 0:
-                    held = (x, drive) if t in analog_steps and t + 1 in analog_steps else None
+                    if i == 0 and repeats:
+                        held = drive
 
                 if i == n_hidden:
                     out_state = output_step(out_state, p, drive, t, total_t)
@@ -552,7 +542,7 @@ def forward(
                 # the OS to be faulted in again at the next step.
                 state = states[i]
                 if with_trace:
-                    out = NeuronState(slot(trace.membranes[i], t, rows, state.membrane), state.norm_potential, state.has_spiked)
+                    out = NeuronState(trace.membranes[i][t - 1, rows], state.norm_potential, state.has_spiked)
                 else:
                     out = state if t > 1 else None
                 states[i], spikes = step(state, p, drive, out=out)
@@ -562,7 +552,7 @@ def forward(
                         tallies[i][rows] += spikes.astype(np.int32)
                 x = spikes
             if last < len(stages):
-                put(operands, t, rows, apply_pre(stages[last], x, rows_masks))
+                operands[t - 1, rows] = apply_pre(stages[last], x, rows_masks)
         return out_state
 
     if split:

@@ -165,8 +165,6 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
 
     gate_of, _ = trace.rules()
     for h in range(n_hidden - 1, -1, -1):
-        if not trace.membranes[h]:
-            raise ContractViolation(f"trace has no recorded state for hidden layer {h}")
         stage, above = stages[h], stages[h + 1]
         p = params[h]
         v = float(p.threshold)
@@ -176,7 +174,7 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
         d_membrane_next = np.zeros((batch,) + stage.out_shape, dtype=p.weights.dtype)
         input_deltas = [None] * total_t
         inputs = trace.layer_inputs[h]
-        cols = None  # kept only while the next step back reads the same input (the direct frame)
+        cols = None  # kept over the steps only while the input repeats: a stride-0 frame (direct coding)
         u_t, z_t = trace.settled(h, total_t)
 
         for t in range(total_t, 0, -1):
@@ -184,14 +182,13 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
             d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
             d_membrane = d_z / v + p.leak * d_membrane_next
 
-            x_t = inputs[t - 1]
             u_prev, z_prev = trace.settled(h, t - 1)  # the state step t started from
             gate = gate_of(u_prev, z_prev, trace.thresholds[h]).astype(d_z.dtype)
 
             if cols is None:
-                cols = network.unfold(stage, x_t)
+                cols = network.unfold(stage, inputs[t - 1])
             d_w += network.weight_grad(stage, d_z / v, cols)
-            if t == 1 or inputs[t - 2] is not x_t:
+            if inputs.strides[0]:
                 cols = None
             if h:  # nothing reads the first layer's input adjoint
                 input_deltas[t - 1] = network.input_adjoint(stage, p.weights, d_membrane)

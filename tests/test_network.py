@@ -20,7 +20,6 @@ from snnkit.network import (
     forward,
     predict,
     readout_scores,
-    reset,
 )
 from snnkit.neuron import LayerParams
 
@@ -174,13 +173,6 @@ class TestForward:
         assert a[0].spike_time.tobytes() == b[0].spike_time.tobytes()
         for t in range(4):
             assert a[1].membranes[0][t].tobytes() == b[1].membranes[0][t].tobytes()
-
-    def test_reset_gives_zero_states(self):
-        spec = fc_spec()
-        hidden, out = reset(spec, batch=3)
-        assert not hidden[0].membrane.any()
-        assert not hidden[0].has_spiked.any()
-        assert (out.spike_time == 0).all()
 
     def test_single_spike_bound(self):
         rng = numerics.make_rng(11)
@@ -356,10 +348,15 @@ class TestBlockMajorPrefix:
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("encoding", ["hybrid", "direct"])
     def test_a_blocked_direct_frame_stays_one_array(self, monkeypatch, block, encoding):
-        # the direct frame stays one array over the steps, so BPTT unfolds it once
+        # the direct frame is one array viewed at stride 0 over the steps, so BPTT unfolds it once
+        spec = self.spec()
         _, trace, _ = self.run(monkeypatch, block, encoding, SINGLE_SPIKE, TRAIN)
         inputs = trace.layer_inputs[0]
-        assert all((a is b) == (encoding == "direct") for a, b in zip(inputs, inputs[1:]))
+        assert inputs.shape == (self.T, self.BATCH) + spec.input_shape
+        assert (inputs.strides[0] == 0) == (encoding == "direct")
+        assert all(np.shares_memory(a, b) == (encoding == "direct") for a, b in zip(inputs, inputs[1:]))
+        assert inputs[0].any() and all(self.same(a, inputs[0]) == (encoding == "direct") for a in inputs[1:])
+        assert all(layer.strides[0] for layer in trace.layer_inputs[1:])
 
     @pytest.mark.parametrize("block,blocks", [(1, 7), (3, 3), (7, 1)])
     @pytest.mark.parametrize("encoding", ["hybrid", "direct"])
@@ -375,6 +372,27 @@ class TestBlockMajorPrefix:
         self.run(monkeypatch, block, encoding, SINGLE_SPIKE, INFER)
         first = self.T if encoding == "hybrid" else 1  # a direct frame is unfolded once per block
         assert calls[0] == blocks * (first + self.T)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("encoding", ["hybrid", "direct"])
+    def test_bptt_unfolds_a_direct_frame_once_per_layer_sweep(self, monkeypatch, block, encoding):
+        spec = self.spec()
+        out, trace, _ = self.run(monkeypatch, block, encoding, SINGLE_SPIKE, TRAIN)
+        rng = numerics.make_rng(6)  # the parameters ``run`` drew
+        params = [LayerParams(rng.normal(0.15, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        loss = training.hybrid_loss(out, training.one_hot(np.arange(self.BATCH) % 3, 3))
+        unfolded = []
+        im2col = numerics.im2col
+
+        def counting(x, *args, **kwargs):
+            unfolded.append(x.shape[1:])
+            return im2col(x, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "im2col", counting)
+        training.bptt_hidden_grads(trace, params, loss, training.TrainConfig())
+        conv1, conv2 = (s.operand_shape for s in spec.stages[:2])
+        assert unfolded.count(conv1) == (1 if encoding == "direct" else self.T)
+        assert unfolded.count(conv2) == self.T and len(unfolded) == unfolded.count(conv1) + self.T
 
     def test_empty_batch_is_rejected(self):
         spec = self.spec()
@@ -400,7 +418,7 @@ class TestBlockMajorPrefix:
 
 
 class TestTraceStorage:
-    """A traced pass stores one array per hidden layer and step, the membrane; the rest is derived."""
+    """A traced pass stores one (T, B, ...) membrane array per hidden layer; the rest of the state is derived."""
 
     T = 4
 
@@ -417,30 +435,30 @@ class TestTraceStorage:
         _, trace = forward(spec, params, enc, mode=mode, rng=rng, neuron_model=neuron_model, with_trace=with_trace)
         return spec, trace
 
-    @staticmethod
-    def arrays(node):
-        if isinstance(node, np.ndarray):
-            yield node
-        elif isinstance(node, (list, tuple)):
-            for item in node:
-                yield from TestTraceStorage.arrays(item)
-
     @pytest.mark.parametrize("neuron_model", [SINGLE_SPIKE, MULTI_SPIKE])
     def test_train_trace_holds_only_the_membrane_per_hidden_step(self, neuron_model):
         spec, trace = self.run(TRAIN, neuron_model=neuron_model)
-        others = ("layer_inputs", "output_membranes", "dropout_masks")
-        kept = {id(a) for field in others for a in self.arrays(getattr(trace, field))}
-        hidden = [a for value in vars(trace).values() for a in self.arrays(value) if id(a) not in kept]
-        assert len({id(a) for a in hidden}) == len(hidden) == 2 * self.T
-        assert {id(a) for a in hidden} == {id(u) for layer in trace.membranes for u in layer}
-        for stage, layer in zip(spec.stages, trace.membranes):
-            assert all(u.shape == (3,) + stage.out_shape and u.dtype == np.float32 for u in layer)
+        hidden = spec.stages[:-1]
+        assert set(vars(trace)) == {
+            "spec", "mode", "neuron_model", "thresholds", "layer_inputs", "membranes", "output_membranes", "dropout_masks",
+        }
+        assert len(trace.membranes) == len(hidden) == 2 and all(type(v) is float for v in trace.thresholds)
+        for stage, layer in zip(hidden, trace.membranes):
+            assert type(layer) is np.ndarray and layer.dtype == np.float32
+            assert layer.shape == (self.T, 3) + stage.out_shape and layer.flags.c_contiguous
+        for stage, layer in zip(spec.stages, trace.layer_inputs):
+            assert layer.shape == (self.T, 3) + stage.operand_shape
+        assert trace.output_membranes.shape == (self.T, 3, spec.num_classes)
+        # no two trace arrays share storage, so each hidden step keeps exactly one membrane
+        arrays = trace.layer_inputs + trace.membranes + [trace.output_membranes]
+        arrays += [m for m in trace.dropout_masks if m is not None]
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1 :])
 
     def test_infer_trace_records_a_distinct_membrane_per_step(self):
         spec, trace = self.run(INFER, with_trace=True)
-        for layer in trace.membranes:
-            assert len({id(u) for u in layer}) == len(layer) == self.T
-            assert any((a != b).any() for a, b in zip(layer, layer[1:]))
+        for stage, layer in zip(spec.stages, trace.membranes):
+            assert layer.shape == (self.T, 3) + stage.out_shape and layer.strides[0] == layer[0].nbytes
+            assert all((a != b).any() for a, b in zip(layer, layer[1:]))
 
 
 class TestReadout:

@@ -154,8 +154,8 @@ class TestHiddenGrads:
         enc = encode_hybrid(np.zeros(4, np.float32), IntensityRange(-1.0, 1.0), 5)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=rng)
         # widen: zero image encodes spikes at t=5 (min intensity), overwrite them
-        trace.layer_inputs[0] = [np.zeros((1, 4), np.float32) for _ in range(5)]
-        trace.membranes[0] = [np.zeros((1, 6), np.float32) for _ in range(5)]
+        trace.layer_inputs[0] = np.zeros((5, 1, 4), np.float32)
+        trace.membranes[0] = np.zeros((5, 1, 6), np.float32)
         loss = hybrid_loss(out, one_hot(np.array([0]), 3))
         grads = bptt_hidden_grads(trace, params, loss, TrainConfig())
         assert not grads.weight[0].any()
