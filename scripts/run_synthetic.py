@@ -20,21 +20,10 @@ from snnkit.network import AvgPool, Conv, Dropout, FullyConnected, NetworkSpec
 from snnkit.training import TrainConfig
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="runs/synthetic", help="output directory")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--train-samples", type=int, default=2000)
-    parser.add_argument("--test-samples", type=int, default=500)
-    parser.add_argument("--timesteps", type=int, default=5)
-    parser.add_argument("--encoder", choices=("hybrid", "direct", "rate"), default="hybrid")
-    parser.add_argument("--snn-epochs", type=int, default=20)
-    args = parser.parse_args()
-
-    os.makedirs(args.out, exist_ok=True)
-    paths = data.write_synthetic_idx(os.path.join(args.out, "dataset"), args.train_samples, args.test_samples, args.seed)
-
-    cfg = ExperimentConfig(
+def desk_config(out_dir, seed, train_samples, test_samples, timesteps, snn_epochs, encoder="hybrid"):
+    """The desk-scale experiment: synthetic digits written under ``out_dir/dataset``, a two-conv network."""
+    paths = data.write_synthetic_idx(os.path.join(out_dir, "dataset"), train_samples, test_samples, seed)
+    return ExperimentConfig(
         dataset=DatasetConfig(format="idx", **paths),
         network=NetworkSpec(
             layers=(
@@ -48,22 +37,36 @@ def main():
             ),
             input_shape=(1, 28, 28),
             num_classes=10,
-            total_timesteps=args.timesteps,
+            total_timesteps=timesteps,
         ),
-        encoder=args.encoder,
+        encoder=encoder,
         calibration=CalibrationConfig(num_images=256, calib_timesteps=60),
         ann_train=AnnTrainConfig(epochs=12, batch_size=64),
         snn_train=TrainConfig(
             lr=2e-3,
-            epochs=args.snn_epochs,
+            epochs=snn_epochs,
             batch_size=32,
             threshold_lr_scale=0.05,
             leak_lr_scale=0.05,
             keep_best=True,
         ),
-        seed=args.seed,
-        out_dir=args.out,
+        seed=seed,
+        out_dir=out_dir,
     )
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="runs/synthetic", help="output directory")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--train-samples", type=int, default=2000)
+    parser.add_argument("--test-samples", type=int, default=500)
+    parser.add_argument("--timesteps", type=int, default=5)
+    parser.add_argument("--encoder", choices=("hybrid", "direct", "rate"), default="hybrid")
+    parser.add_argument("--snn-epochs", type=int, default=20)
+    args = parser.parse_args()
+
+    cfg = desk_config(args.out, args.seed, args.train_samples, args.test_samples, args.timesteps, args.snn_epochs, args.encoder)
     cfg.to_json(os.path.join(args.out, "config.json"))
 
     report = pipeline.run_experiment(cfg)

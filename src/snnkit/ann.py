@@ -138,18 +138,16 @@ def ann_train(
     lr_schedule=None,
     batch_size: int = 64,
     momentum: float = 0.9,
-    eval_set=None,
 ):
     """SGD-with-momentum training of the constrained ReLU network.
 
-    Returns (AnnParams, history) where history holds the per-epoch mean loss
-    and, when an eval set is supplied, test accuracy.
+    Returns (AnnParams, history) where history holds the per-epoch mean loss.
     """
     params = init_ann(spec, rng)
     if lr_schedule is None:
         lr_schedule = default_lr_schedule(epochs)
     velocity = [np.zeros_like(w) for w in params.weights]
-    history = {"loss": [], "accuracy": []}
+    history = {"loss": []}
     n = len(images)
     for epoch in range(epochs):
         lr = lr_schedule(epoch)
@@ -171,8 +169,6 @@ def ann_train(
                 w -= lr * v
             losses.append(loss)
         history["loss"].append(float(np.mean(losses)))
-        if eval_set is not None:
-            history["accuracy"].append(ann_accuracy(spec, params, eval_set[0], eval_set[1]))
     return params, history
 
 
@@ -238,7 +234,8 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
     Layer l's threshold is the percentile of the input currents it receives
     while layers 0..l-1 run as standard multi-spike LIF neurons with their
     already-calibrated thresholds and unit leak, all driven by direct
-    encoding for ``cfg.calib_timesteps`` steps.
+    encoding for ``cfg.calib_timesteps`` steps. The sample is every image
+    passed in; ``cfg.num_images`` is how many the caller draws.
 
     The layers are calibrated in one layer-major pass. Once layer l's
     threshold is known, one sweep over the sample runs its LIF neurons and
@@ -250,10 +247,6 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
     at a time; besides the trains, one chunk's neuron state, updated in place,
     and one step's currents are live.
     """
-    if len(sample_images) != cfg.num_images:
-        raise ConfigurationError(
-            f"calibration expects {cfg.num_images} sample images, got {len(sample_images)}"
-        )
     stages = spec.stages
     counts = spec.neuron_counts()
     steps = cfg.calib_timesteps

@@ -325,13 +325,9 @@ class ActivityCounters:
 
 def check_params(spec: NetworkSpec, params: list):
     expected = spec.weight_shapes()
-    if len(params) != len(expected):
-        raise ConfigurationError(f"expected {len(expected)} weighted layers, got {len(params)}")
-    for i, (p, shape) in enumerate(zip(params, expected)):
-        if tuple(p.weights.shape) != tuple(shape):
-            raise ConfigurationError(
-                f"weighted layer {i} has weights {p.weights.shape}, spec requires {shape}"
-            )
+    got = [p.weights.shape for p in params]
+    if got != expected:
+        raise ConfigurationError(f"weight shapes {got} do not match the network's {expected}")
 
 
 def sample_dropout_masks(spec: NetworkSpec, batch: int, rng, dtype):

@@ -24,7 +24,7 @@ from .config import ExperimentConfig, RunReport
 from .encoding import DIRECT, HYBRID, RATE, IntensityRange, encode_direct, encode_hybrid, encode_poisson_rate
 from .errors import ConfigurationError, EmissionError, IngestionError, SnnkitError
 from .metrics import EnergyCosts, energy, energy_ratio
-from .network import MULTI_SPIKE, ActivityCounters, evaluate
+from .network import MULTI_SPIKE, ActivityCounters, check_params, evaluate
 from .neuron import LayerParams
 
 ANN_MODEL = "ann.model"
@@ -159,10 +159,7 @@ class Experiment:
 
     def _require_ann(self):
         if self.ann_params is None:
-            path = self._path(ANN_MODEL)
-            if not os.path.exists(path):
-                raise ConfigurationError(f"no trained ANN at {path}; run train-ann first")
-            self.ann_params = ann_mod.AnnParams(weights=[p.weights for p in modelio.load_params(path)])
+            self.ann_params = ann_mod.AnnParams(weights=[p.weights for p in self._load_model(ANN_MODEL)])
         return self.ann_params
 
     def calibrate(self):
@@ -172,9 +169,8 @@ class Experiment:
             rng = self.rngs["calibrate"]
             count = min(cfg.calibration.num_images, len(self.dataset.train_images))
             idx = rng.choice(len(self.dataset.train_images), size=count, replace=False)
-            calib_cfg = dataclasses.replace(cfg.calibration, num_images=count)
             self.thresholds = ann_mod.calibrate_thresholds(
-                ann_params, cfg.network, self.dataset.train_images[idx], calib_cfg
+                ann_params, cfg.network, self.dataset.train_images[idx], cfg.calibration
             )
             with modelio.atomic_write(self._path(THRESHOLDS_FILE), "w") as fh:
                 json.dump({"thresholds": self.thresholds}, fh, indent=2)
@@ -236,10 +232,16 @@ class Experiment:
         return self._timed("convert", run)
 
     def _load_model(self, name):
+        """Load a model file; weights shaped for another network are an ingestion error."""
         path = self._path(name)
         if not os.path.exists(path):
             raise ConfigurationError(f"no model at {path}; run the earlier phases first")
-        return modelio.load_params(path)
+        params = modelio.load_params(path)
+        try:
+            check_params(self.cfg.network, params)
+        except ConfigurationError as exc:
+            raise IngestionError(f"{path}: {exc}") from exc
+        return params
 
     def train_snn(self):
         def run():

@@ -12,7 +12,7 @@ from snnkit.ann import AnnTrainConfig, CalibrationConfig
 from snnkit.config import DatasetConfig, ExperimentConfig, RunReport
 from snnkit.errors import ConfigurationError, EmissionError
 from snnkit.metrics import energy_ratio
-from snnkit.network import Conv, FullyConnected, NetworkSpec
+from snnkit.network import AvgPool, Conv, FullyConnected, NetworkSpec
 from snnkit.neuron import LayerParams
 from snnkit.training import TrainConfig
 
@@ -65,6 +65,21 @@ def write_config(root, cfg, name="config.json"):
     path = root / name
     cfg.to_json(path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def small_conv_run(tiny_root):
+    """A finished run-all of a conv network whose hidden fc layer has 16 units."""
+    root, paths = tiny_root
+    cfg = tiny_config(root, paths, "out_small_conv")
+    cfg.network = NetworkSpec(
+        layers=(Conv(4, 5), AvgPool(2), FullyConnected(16), FullyConnected(10)),
+        input_shape=(1, 28, 28),
+        num_classes=10,
+        total_timesteps=3,
+    )
+    assert cli.main(["run-all", "--config", write_config(root, cfg, "small_conv.json")]) == 0
+    return root, paths, cfg
 
 
 class TestRunAll:
@@ -358,6 +373,34 @@ class TestExitCodes:
         (out_dir / pipeline.THRESHOLDS_FILE).write_text(content)
         assert cli.main(["convert", "--config", cfg_path]) == 3
         assert pipeline.THRESHOLDS_FILE in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (Conv(4, 5), AvgPool(2), FullyConnected(24), FullyConnected(10)),
+            (Conv(4, 5), AvgPool(2), FullyConnected(16), FullyConnected(16), FullyConnected(10)),
+            (Conv(6, 5), AvgPool(2), FullyConnected(16), FullyConnected(10)),
+        ],
+        ids=["wider-fc", "extra-fc", "wider-conv"],
+    )
+    @pytest.mark.parametrize(
+        "phase,model_file",
+        [
+            ("calibrate", pipeline.ANN_MODEL),
+            ("convert", pipeline.ANN_MODEL),
+            ("train-snn", pipeline.CONVERTED_MODEL),
+            ("eval", pipeline.SNN_MODEL),
+        ],
+    )
+    def test_model_built_for_another_network_is_ingestion_error(self, small_conv_run, capsys, phase, model_file, layers):
+        root, paths, cfg = small_conv_run
+        other = tiny_config(root, paths, "out_small_conv")
+        other.network = NetworkSpec(layers=layers, input_shape=(1, 28, 28), num_classes=10, total_timesteps=3)
+        cfg_path = write_config(root, other, "other_network.json")
+        assert cli.main([phase, "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert model_file in err
+        assert str(cfg.network.weight_shapes()) in err and str(other.network.weight_shapes()) in err
 
     def test_model_path_naming_a_directory_is_ingestion_error(self, tiny_root, capsys):
         root, paths = tiny_root
