@@ -12,9 +12,9 @@ The forward pass runs the chosen encoder's per-timestep inputs through the
 stack, recording the temporal trace needed by backpropagation-through-time
 in train mode, or lightweight activity counters in infer mode. The conv
 stages run block by block over the samples, each cache-sized block through
-all T steps; the fc stages then run step by step on the whole batch. A pass
-that keeps no trace updates each layer's neuron state in place after the
-first step.
+all T steps (``conv_blocks``, whose blocks BPTT walks too); the fc stages
+then run step by step on the whole batch. A pass that keeps no trace updates
+each layer's neuron state in place after the first step.
 """
 
 from __future__ import annotations
@@ -242,9 +242,9 @@ class TemporalTrace:
             return single_spike_gate, single_spike_fire
         return lif_gate, lif_fire
 
-    def settled(self, h: int, t: int):
-        """Hidden layer h's (membrane, norm potential) after step t; t = 0 is the reset state."""
-        u = self.membranes[h][t - 1] if t else np.zeros_like(self.membranes[h][0])
+    def settled(self, h: int, t: int, rows: slice = slice(None)):
+        """Hidden layer h's (membrane, norm potential) after step t over ``rows``; t = 0 is the reset state."""
+        u = self.membranes[h][t - 1, rows] if t else np.zeros_like(self.membranes[h][0, rows])
         return u, norm_potential(u, self.thresholds[h])
 
     @property
@@ -392,11 +392,17 @@ def input_current(stage: Stage, weights, x):
     return current(stage, weights, unfold(stage, x))
 
 
-def weight_grad(stage: Stage, d_out, unfolded):
-    """Weight gradient summed over the batch, from the output adjoint and the unfolded operand."""
+def weight_grad(stage: Stage, d_out, unfolded, acc=None):
+    """Weight gradient summed over the batch, from the output adjoint and the unfolded operand.
+
+    ``acc``, when given, is the gradient over earlier samples, which a conv stage continues in
+    sample order: blocks of a batch then sum to the bits of the whole batch.
+    """
     if isinstance(stage.layer, Conv):
-        return numerics.conv2d_weight_grad(d_out, unfolded).reshape(stage.weight_shape)
-    return d_out.T @ unfolded
+        acc = None if acc is None else acc.reshape(stage.weight_shape[0], -1)
+        return numerics.conv2d_weight_grad(d_out, unfolded, acc).reshape(stage.weight_shape)
+    grad = d_out.T @ unfolded
+    return grad if acc is None else acc + grad
 
 
 def input_adjoint(stage: Stage, weights, d_out):
@@ -411,8 +417,24 @@ def input_adjoint(stage: Stage, weights, d_out):
 # -- the T-timestep pass ------------------------------------------------------
 
 # Bytes of im2col columns that one block of samples may hold in the conv prefix of
-# ``forward``: the largest conv stage's columns for a block fit in a core's L2 cache.
+# ``forward`` and of BPTT: the largest conv stage's columns for a block fit in a core's L2 cache.
 BUDGET = 2 << 20
+
+
+def conv_blocks(spec: NetworkSpec, batch: int, dtype):
+    """The number of conv stages and the blocks of sample rows they run in.
+
+    The conv stages are always a prefix of the stack, since an fc layer flattens. A block holds
+    as many samples as the largest conv stage's im2col columns fit in ``BUDGET``, and at least one.
+    """
+    stages = spec.stages
+    split = next(i for i, s in enumerate(stages) if isinstance(s.layer, FullyConnected))
+    if not split:
+        return 0, []
+    itemsize = np.dtype(dtype).itemsize
+    col_bytes = max(math.prod(s.weight_shape[1:]) * math.prod(s.out_shape[1:]) * itemsize for s in stages[:split])
+    block = max(1, BUDGET // col_bytes)
+    return split, [slice(lo, min(lo + block, batch)) for lo in range(0, batch, block)]
 
 
 def forward(
@@ -470,7 +492,7 @@ def forward(
     step = single_spike_step if neuron_model == SINGLE_SPIKE else lif_step
     analog_steps = encoded.analog_steps
     repeats = len(analog_steps) == total_t  # direct coding: the first layer reads one frame at every step
-    split = next(i for i, s in enumerate(stages) if isinstance(s.layer, FullyConnected))
+    split, blocks = conv_blocks(spec, batch, dtype)
 
     def over_time(shape, repeated=False):
         """A (T, batch) + shape array; a repeated one is a single frame viewed at stride 0 over T."""
@@ -551,12 +573,8 @@ def forward(
                 operands[t - 1, rows] = apply_pre(stages[last], x, rows_masks)
         return out_state
 
-    if split:
-        itemsize = np.dtype(dtype).itemsize
-        col_bytes = max(math.prod(s.weight_shape[1:]) * math.prod(s.out_shape[1:]) * itemsize for s in stages[:split])
-        block = max(1, BUDGET // col_bytes)
-        for lo in range(0, batch, block):
-            run(0, split, slice(lo, min(lo + block, batch)))
+    for rows in blocks:
+        run(0, split, rows)
     return run(split, len(stages), slice(0, batch)), trace
 
 

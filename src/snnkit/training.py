@@ -104,12 +104,13 @@ def _heaviside(x: np.ndarray) -> np.ndarray:
     return (x > 0).astype(np.float64)
 
 
-def spike_time_threshold_grad(output_membranes: list, threshold: float, band: float, total_timesteps: int) -> np.ndarray:
+def spike_time_threshold_grad(output_membranes: np.ndarray, threshold: float, band: float, total_timesteps: int) -> np.ndarray:
     """Boxcar approximation of d(spike time)/d(threshold) for the output layer.
 
-    Sums t * (H(a) * (|b| < band) - H(b) * (|a| < band)) over t = 1..T-1 with
-    a = U^t - V and b = V - U^{t-1}, plus T * (|V - U^T| < band) for the
-    forced-fire step.
+    ``output_membranes`` is the trace's (T, B, classes) array, indexed [t-1]
+    for step t. Sums t * (H(a) * (|b| < band) - H(b) * (|a| < band)) over
+    t = 1..T-1 with a = U^t - V and b = V - U^{t-1}, plus T * (|V - U^T| < band)
+    for the forced-fire step.
     """
     if len(output_membranes) != total_timesteps:
         raise ContractViolation("need one recorded output membrane per timestep")
@@ -127,12 +128,21 @@ def spike_time_threshold_grad(output_membranes: list, threshold: float, band: fl
     return acc
 
 
+def _loss_batch(trace: TemporalTrace, loss: HybridLossResult) -> int:
+    """The number of samples the loss covers, which must be the trace's."""
+    batch = loss.grad_u.reshape(-1, trace.spec.num_classes).shape[0]
+    traced = trace.output_membranes.shape[1]
+    if batch != traced:
+        raise ContractViolation(f"the loss covers {batch} samples but the trace {traced}")
+    return batch
+
+
 def output_layer_grads(trace: TemporalTrace, loss: HybridLossResult, params: list, band: float):
     """Exact-path weight gradient and boxcar threshold gradient for the output layer."""
+    batch = _loss_batch(trace, loss)
     last = len(params) - 1
     stage = trace.spec.stages[last]
     x_sum = sum(network.unfold(stage, x) for x in trace.layer_inputs[last])
-    batch = len(x_sum)
     d_weights = network.weight_grad(stage, loss.grad_u.reshape(batch, -1), x_sum) / batch
     dtdv = spike_time_threshold_grad(trace.output_membranes, params[last].threshold, band, trace.spec.total_timesteps)
     grad_t = loss.grad_t.reshape(batch, -1)
@@ -147,61 +157,94 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
     converted through the surrogate into a z-adjoint; parameter gradients
     use that local z-adjoint, while the membrane adjoint (z-adjoint / V plus
     the leak-carried future term) is what flows down to the layer below.
+
+    The conv stages run step by step over the sample blocks of the forward
+    pass's conv prefix (``network.conv_blocks``): each block carries its own
+    states and adjoints, unfolds its own input and hands its input adjoint
+    to the same block of the layer below. The fc stages run on the whole
+    batch. The bits are those of a whole-batch pass: each step's
+    weight-gradient products are added in sample order across the blocks,
+    and its threshold and leak terms are each summed as one whole-batch
+    array.
     """
     if trace.mode != TRAIN:
         raise ContractViolation("hidden-layer BPTT needs a train-mode trace")
+    batch = _loss_batch(trace, loss)
     stages = trace.spec.stages
     masks = trace.dropout_masks
     n_hidden = len(stages) - 1
     total_t = trace.spec.total_timesteps
-    batch = loss.grad_u.reshape(-1, trace.spec.num_classes).shape[0]
+    dtype = params[0].weights.dtype  # the forward pass's, which sized its blocks
+    split, blocks = network.conv_blocks(trace.spec, batch, dtype)
 
     grads = GradientSet(weight=[None] * n_hidden, threshold=[0.0] * n_hidden, leak=[0.0] * n_hidden)
 
-    # Adjoint of the operand input of the layer above, per timestep. The
-    # output accumulator makes it the same array at every t.
+    # Adjoint of the operand input of the layer above, per timestep and per block of that
+    # layer's rows. The output accumulator makes it the same array at every t.
     grad_u = loss.grad_u.reshape(batch, -1).astype(params[-1].weights.dtype, copy=False)
-    upper_input_deltas = [network.input_adjoint(stages[-1], params[-1].weights, grad_u)] * total_t
+    upper = [[network.input_adjoint(stages[-1], params[-1].weights, grad_u)]] * total_t
 
     gate_of, _ = trace.rules()
     for h in range(n_hidden - 1, -1, -1):
         stage, above = stages[h], stages[h + 1]
         p = params[h]
         v = float(p.threshold)
+        rows_of = blocks if h < split else [slice(0, batch)]
+        if h == split - 1:  # the conv prefix reads the fc tail's whole-batch adjoints block by block
+            upper = [[d[rows] for rows in blocks] for [d] in upper]
+        masks_of = [[None if m is None else m[rows] for m in masks] for rows in rows_of]
         d_w = np.zeros_like(p.weights)
         d_v = 0.0
         d_leak = 0.0
-        d_membrane_next = np.zeros((batch,) + stage.out_shape, dtype=p.weights.dtype)
-        input_deltas = [None] * total_t
+        # A step sums its threshold and its leak terms each as one whole-batch array, since numpy's
+        # pairwise sum depends on the array's extent. Several blocks write theirs into these buffers.
+        # A lone block sums each product as soon as it is made: writing them into layer-long
+        # buffers made the desk spec's whole-batch sweep about a tenth slower.
+        buffers = np.empty((2, batch) + stage.out_shape, dtype=dtype) if len(rows_of) > 1 else None
+        d_membrane_next = [np.zeros((rows.stop - rows.start,) + stage.out_shape, dtype=dtype) for rows in rows_of]
+        input_deltas = [[None] * len(rows_of) for _ in range(total_t)]
         inputs = trace.layer_inputs[h]
-        cols = None  # kept over the steps only while the input repeats: a stride-0 frame (direct coding)
-        u_t, z_t = trace.settled(h, total_t)
+        cols = [None] * len(rows_of)  # kept over the steps only while the input repeats (direct coding)
+        settled = [trace.settled(h, total_t, rows) for rows in rows_of]
+        d_w_t = None  # the weight gradient of the current step over the blocks so far
 
         for t in range(total_t, 0, -1):
-            d_spikes = network.pre_adjoint(above, upper_input_deltas[t - 1], masks)
-            d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
-            d_membrane = d_z / v + p.leak * d_membrane_next
+            for k, rows in enumerate(rows_of):
+                u_t, z_t = settled[k]
+                d_spikes = network.pre_adjoint(above, upper[t - 1][k], masks_of[k])
+                d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
+                d_membrane = d_z / v + p.leak * d_membrane_next[k]
 
-            u_prev, z_prev = trace.settled(h, t - 1)  # the state step t started from
-            gate = gate_of(u_prev, z_prev, trace.thresholds[h]).astype(d_z.dtype)
+                u_prev, z_prev = settled[k] = trace.settled(h, t - 1, rows)  # the state step t started from
+                gate = gate_of(u_prev, z_prev, trace.thresholds[h]).astype(d_z.dtype)
 
-            if cols is None:
-                cols = network.unfold(stage, inputs[t - 1])
-            d_w += network.weight_grad(stage, d_z / v, cols)
-            if inputs.strides[0]:
-                cols = None
-            if h:  # nothing reads the first layer's input adjoint
-                input_deltas[t - 1] = network.input_adjoint(stage, p.weights, d_membrane)
+                if cols[k] is None:
+                    cols[k] = network.unfold(stage, inputs[t - 1, rows])
+                d_w_t = network.weight_grad(stage, d_z / v, cols[k], d_w_t)
+                if rows.stop == batch:  # the step's last block completes its sum over the batch
+                    d_w += d_w_t
+                    d_w_t = None
+                if inputs.strides[0]:
+                    cols[k] = None
+                if h:  # nothing reads the first layer's input adjoint
+                    input_deltas[t - 1][k] = network.input_adjoint(stage, p.weights, d_membrane)
 
-            d_v += float((d_z * (-v * gate - u_t)).sum() / (v * v))
-            d_leak += float((d_z * u_prev).sum() / v)
-            d_membrane_next = d_membrane
-            u_t, z_t = u_prev, z_prev
+                if buffers is None:
+                    d_v += float((d_z * (-v * gate - u_t)).sum() / (v * v))
+                    d_leak += float((d_z * u_prev).sum() / v)
+                else:
+                    np.multiply(d_z, -v * gate - u_t, out=buffers[0, rows])
+                    np.multiply(d_z, u_prev, out=buffers[1, rows])
+                d_membrane_next[k] = d_membrane
+
+            if buffers is not None:
+                d_v += float(buffers[0].sum() / (v * v))
+                d_leak += float(buffers[1].sum() / v)
 
         grads.weight[h] = d_w / batch
         grads.threshold[h] = d_v / batch
         grads.leak[h] = d_leak / batch
-        upper_input_deltas = input_deltas
+        upper = input_deltas
 
     return grads
 

@@ -373,9 +373,9 @@ class TestBlockMajorPrefix:
         first = self.T if encoding == "hybrid" else 1  # a direct frame is unfolded once per block
         assert calls[0] == blocks * (first + self.T)
 
-    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("block,blocks", [(1, 7), (3, 3)])
     @pytest.mark.parametrize("encoding", ["hybrid", "direct"])
-    def test_bptt_unfolds_a_direct_frame_once_per_layer_sweep(self, monkeypatch, block, encoding):
+    def test_bptt_unfolds_a_direct_frame_once_per_block(self, monkeypatch, block, blocks, encoding):
         spec = self.spec()
         out, trace, _ = self.run(monkeypatch, block, encoding, SINGLE_SPIKE, TRAIN)
         rng = numerics.make_rng(6)  # the parameters ``run`` drew
@@ -385,14 +385,16 @@ class TestBlockMajorPrefix:
         im2col = numerics.im2col
 
         def counting(x, *args, **kwargs):
-            unfolded.append(x.shape[1:])
+            unfolded.append((x.shape[1:], len(x)))
             return im2col(x, *args, **kwargs)
 
         monkeypatch.setattr(numerics, "im2col", counting)
         training.bptt_hidden_grads(trace, params, loss, training.TrainConfig())
         conv1, conv2 = (s.operand_shape for s in spec.stages[:2])
-        assert unfolded.count(conv1) == (1 if encoding == "direct" else self.T)
-        assert unfolded.count(conv2) == self.T and len(unfolded) == unfolded.count(conv1) + self.T
+        shapes = [shape for shape, _ in unfolded]
+        assert shapes.count(conv1) == blocks * (1 if encoding == "direct" else self.T)
+        assert shapes.count(conv2) == blocks * self.T and len(shapes) == shapes.count(conv1) + shapes.count(conv2)
+        assert max(n for _, n in unfolded) == block and sum(n for shape, n in unfolded if shape == conv2) == self.T * self.BATCH
 
     def test_empty_batch_is_rejected(self):
         spec = self.spec()

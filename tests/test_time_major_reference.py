@@ -10,10 +10,11 @@ spikes as an argument, and the single-spike rule freezes a fired neuron in
 infer mode. ``network.forward`` and ``training.backward`` must reproduce
 them bit for bit: membranes, spike times, activity counters, dropout masks,
 and threshold and leak gradients, also when the conv prefix runs in blocks
-of fewer samples than the batch. The reference sums each weight gradient
-with per-step einsums; ``network.weight_grad`` sums in another order through
-BLAS, so weight gradients must agree to ``WEIGHT_GRAD_RTOL`` of the layer's
-largest gradient entry, with dtype and shape equal.
+of fewer samples than the batch, in the forward pass and in BPTT alike. The
+reference sums each weight gradient with per-step einsums;
+``network.weight_grad`` sums in another order through BLAS, so weight
+gradients must agree to ``WEIGHT_GRAD_RTOL`` of the layer's largest gradient
+entry, with dtype and shape equal.
 """
 
 import math

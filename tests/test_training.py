@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from snnkit import numerics, training
-from snnkit.encoding import IntensityRange, encode_hybrid
+from snnkit import network, numerics, training
+from snnkit.encoding import IntensityRange, encode_direct, encode_hybrid
 from snnkit.errors import ConfigurationError, ContractViolation, TrainingError
-from snnkit.network import FullyConnected, NetworkSpec, TRAIN, forward
+from snnkit.network import AvgPool, Conv, FullyConnected, NetworkSpec, TRAIN, forward
 from snnkit.neuron import LayerParams, OutputState
 from snnkit.training import (
     GradientSet,
@@ -184,6 +185,106 @@ class TestHiddenGrads:
         loss = hybrid_loss(out, one_hot(np.array([0]), 3))
         with pytest.raises(ContractViolation):
             bptt_hidden_grads(trace, params, loss, TrainConfig())
+
+
+    @pytest.mark.parametrize(
+        "grads",
+        [
+            lambda trace, params, loss: backward(trace, params, loss, TrainConfig()),
+            lambda trace, params, loss: output_layer_grads(trace, loss, params, 0.2),
+        ],
+        ids=["backward", "output_layer_grads"],
+    )
+    def test_loss_over_another_batch_rejected(self, grads):
+        spec = NetworkSpec(
+            layers=(Conv(4, 3), AvgPool(2), FullyConnected(8), FullyConnected(3)),
+            input_shape=(1, 6, 6),
+            num_classes=3,
+            total_timesteps=4,
+        )
+        rng = numerics.make_rng(9)
+        params = [LayerParams(rng.normal(0.1, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        out, trace = forward(spec, params, encode_direct(rng.random((4,) + spec.input_shape).astype(np.float32), 4), mode=TRAIN)
+        loss = hybrid_loss(OutputState(out.membrane[:3], out.spike_time[:3]), one_hot(np.arange(3), 3))
+        with pytest.raises(ContractViolation, match="3 samples but the trace 4"):
+            grads(trace, params, loss)
+
+
+class TestBlockedBptt:
+    """BPTT runs the conv stages over the forward pass's sample blocks (``network.BUDGET``)."""
+
+    T = 4
+    BATCH = 8
+
+    def spec(self):
+        return NetworkSpec(
+            layers=(Conv(8, 3, padding=1), AvgPool(2), Conv(16, 3, padding=1), AvgPool(2), FullyConnected(16), FullyConnected(3)),
+            input_shape=(3, 16, 16),
+            num_classes=3,
+            total_timesteps=self.T,
+        )
+
+    def use_blocks(self, monkeypatch, block):
+        """Set BUDGET for conv-prefix blocks of ``block`` samples (float32 columns)."""
+        per_sample = max(
+            math.prod(s.weight_shape[1:]) * math.prod(s.out_shape[1:]) * 4 for s in self.spec().stages if isinstance(s.layer, Conv)
+        )
+        monkeypatch.setattr(network, "BUDGET", block * per_sample)
+
+    def run(self, monkeypatch, block):
+        """A traced pass with the conv prefix in blocks of ``block`` samples (None: the default BUDGET)."""
+        spec = self.spec()
+        if block is not None:
+            self.use_blocks(monkeypatch, block)
+        rng = numerics.make_rng(6)
+        params = [LayerParams(rng.normal(0.0, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        images = rng.random((self.BATCH,) + spec.input_shape).astype(np.float32)
+        out, trace = forward(spec, params, encode_hybrid(images, UNIT, self.T), mode=TRAIN, rng=numerics.make_rng(3))
+        return params, trace, hybrid_loss(out, one_hot(np.arange(self.BATCH) % 3, 3))
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_blocks_give_the_whole_batch_bits(self, monkeypatch, block):
+        params, trace, loss = self.run(monkeypatch, None)
+        whole = bptt_hidden_grads(trace, params, loss, TrainConfig())
+        self.use_blocks(monkeypatch, block)
+        blocked = bptt_hidden_grads(trace, params, loss, TrainConfig())
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(blocked.weight, whole.weight))
+        assert blocked.threshold == whole.threshold and blocked.leak == whole.leak
+        assert all(g.any() for g in whole.weight)
+
+    @pytest.mark.parametrize("block,blocks", [(None, 1), (3, 3), (1, 8)])
+    def test_each_block_derives_its_states_once_per_step(self, monkeypatch, block, blocks):
+        # a whole batch (one block) makes the H*T surrogate and H*(T+1) norm-potential calls of a
+        # whole-batch sweep: the states a step starts from are carried to the next step, not re-derived
+        params, trace, loss = self.run(monkeypatch, block)
+        calls = {"surrogate": 0, "norm": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(training, "surrogate_grad", counting("surrogate", training.surrogate_grad))
+        monkeypatch.setattr(network, "norm_potential", counting("norm", network.norm_potential))
+        grads = bptt_hidden_grads(trace, params, loss, TrainConfig())
+        sweeps = 2 * blocks + 1  # two conv stages per block, the fc16 stage on the whole batch
+        assert calls == {"surrogate": sweeps * self.T, "norm": sweeps * (self.T + 1)}
+        assert all(g.any() for g in grads.weight)
+
+    def test_one_sample_blocks_hold_less_memory(self, monkeypatch):
+        """BPTT's peak allocation above what the trace holds, whole batch against 1-sample blocks."""
+        peaks = []
+        for block in (None, 1):
+            params, trace, loss = self.run(monkeypatch, block)
+            tracemalloc.start()
+            try:
+                bptt_hidden_grads(trace, params, loss, TrainConfig())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 0.7 * peaks[0]
 
 
 class TestOptimizer:
