@@ -43,6 +43,11 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
 
 
 def save_params(path, params: list):
+    for i, p in enumerate(params):  # a threshold that float32 rounds to 0 or inf would not load back
+        with np.errstate(over="ignore"):
+            stored = np.float32(p.threshold)
+        if not 0 < stored < np.inf:
+            raise ConfigurationError(f"cannot write {path}: layer {i}'s threshold {p.threshold} is {stored} in float32")
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))

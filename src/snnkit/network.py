@@ -392,17 +392,11 @@ def input_current(stage: Stage, weights, x):
     return current(stage, weights, unfold(stage, x))
 
 
-def weight_grad(stage: Stage, d_out, unfolded, acc=None):
-    """Weight gradient summed over the batch, from the output adjoint and the unfolded operand.
-
-    ``acc``, when given, is the gradient over earlier samples, which a conv stage continues in
-    sample order: blocks of a batch then sum to the bits of the whole batch.
-    """
+def weight_grad(stage: Stage, d_out, unfolded):
+    """Weight gradient summed over the batch, from the output adjoint and the unfolded operand."""
     if isinstance(stage.layer, Conv):
-        acc = None if acc is None else acc.reshape(stage.weight_shape[0], -1)
-        return numerics.conv2d_weight_grad(d_out, unfolded, acc).reshape(stage.weight_shape)
-    grad = d_out.T @ unfolded
-    return grad if acc is None else acc + grad
+        return numerics.conv2d_weight_grad(d_out, unfolded).reshape(stage.weight_shape)
+    return d_out.T @ unfolded
 
 
 def input_adjoint(stage: Stage, weights, d_out):

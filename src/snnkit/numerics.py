@@ -113,19 +113,13 @@ def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, in_shape, stride: i
     return col2im(dcols, in_shape, k, stride, padding)
 
 
-def conv2d_weight_grad(dout: np.ndarray, cols: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+def conv2d_weight_grad(dout: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Kernel gradient as a (Co, Ci*k*k) matrix, summed over the batch.
 
     ``cols`` are the im2col columns of the forward input, (B, Ci*k*k, Ho*Wo).
-    The per-sample products are added in sample order, after ``acc`` when
-    given, so a batch summed block by block onto the running gradient gives
-    the bits of one call over the whole batch.
     """
     b, co = dout.shape[:2]
-    products = np.matmul(dout.reshape(b, co, -1), cols.transpose(0, 2, 1))
-    if acc is not None:
-        products[0] += acc
-    return products.sum(0)
+    return np.matmul(dout.reshape(b, co, -1), cols.transpose(0, 2, 1)).sum(0)
 
 
 def avgpool2d(x, window: int) -> np.ndarray:

@@ -150,6 +150,51 @@ def output_layer_grads(trace: TemporalTrace, loss: HybridLossResult, params: lis
     return d_weights.astype(params[last].weights.dtype), d_threshold
 
 
+def _sweep(trace: TemporalTrace, params: list, config: TrainConfig, grads: GradientSet, layers, rows: slice, upper: list):
+    """BPTT over the hidden ``layers``, top down, for the samples in ``rows``, steps T..1.
+
+    ``upper[t-1]`` is the adjoint of the operand input of the layer above the
+    first one at step t, over ``rows``. Each layer's weight, threshold and
+    leak terms are added into ``grads`` as batch sums; returns the last
+    layer's per-step input adjoints.
+    """
+    stages = trace.spec.stages
+    total_t = trace.spec.total_timesteps
+    masks = [None if m is None else m[rows] for m in trace.dropout_masks]
+    gate_of, _ = trace.rules()
+    for h in layers:
+        stage, above, p = stages[h], stages[h + 1], params[h]
+        v = float(p.threshold)
+        d_membrane_next = np.zeros((rows.stop - rows.start,) + stage.out_shape, dtype=p.weights.dtype)
+        input_deltas = [None] * total_t
+        inputs = trace.layer_inputs[h]
+        cols = None  # kept over the steps only while the input repeats: a stride-0 frame (direct coding)
+        u_t, z_t = trace.settled(h, total_t, rows)
+
+        for t in range(total_t, 0, -1):
+            d_spikes = network.pre_adjoint(above, upper[t - 1], masks)
+            d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
+            d_membrane = d_z / v + p.leak * d_membrane_next
+
+            u_prev, z_prev = trace.settled(h, t - 1, rows)  # the state step t started from
+            gate = gate_of(u_prev, z_prev, trace.thresholds[h]).astype(d_z.dtype)
+
+            if cols is None:
+                cols = network.unfold(stage, inputs[t - 1, rows])
+            grads.weight[h] += network.weight_grad(stage, d_z / v, cols)
+            if inputs.strides[0]:
+                cols = None
+            if h:  # nothing reads the first layer's input adjoint
+                input_deltas[t - 1] = network.input_adjoint(stage, p.weights, d_membrane)
+
+            grads.threshold[h] += float((d_z * (-v * gate - u_t)).sum() / (v * v))
+            grads.leak[h] += float((d_z * u_prev).sum() / v)
+            d_membrane_next = d_membrane
+            u_t, z_t = u_prev, z_prev
+        upper = input_deltas
+    return upper
+
+
 def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult, config: TrainConfig) -> GradientSet:
     """Hidden-layer gradients via backpropagation through time.
 
@@ -158,95 +203,27 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
     use that local z-adjoint, while the membrane adjoint (z-adjoint / V plus
     the leak-carried future term) is what flows down to the layer below.
 
-    The conv stages run step by step over the sample blocks of the forward
-    pass's conv prefix (``network.conv_blocks``): each block carries its own
-    states and adjoints, unfolds its own input and hands its input adjoint
-    to the same block of the layer below. The fc stages run on the whole
-    batch. The bits are those of a whole-batch pass: each step's
-    weight-gradient products are added in sample order across the blocks,
-    and its threshold and leak terms are each summed as one whole-batch
-    array.
+    The walk mirrors ``forward`` in reverse: one sweep runs the fc stages on
+    the whole batch, then one sweep per sample block of the conv prefix
+    (``network.conv_blocks``) runs that block through every conv stage and
+    steps T..1 before the next block starts. With one block the sums are
+    those of a whole-batch pass, bit for bit. With several, a conv stage's
+    gradients are summed block after block, which changes their rounding.
     """
     if trace.mode != TRAIN:
         raise ContractViolation("hidden-layer BPTT needs a train-mode trace")
     batch = _loss_batch(trace, loss)
-    stages = trace.spec.stages
-    masks = trace.dropout_masks
-    n_hidden = len(stages) - 1
-    total_t = trace.spec.total_timesteps
-    dtype = params[0].weights.dtype  # the forward pass's, which sized its blocks
-    split, blocks = network.conv_blocks(trace.spec, batch, dtype)
+    n_hidden = len(params) - 1
+    split, blocks = network.conv_blocks(trace.spec, batch, params[0].weights.dtype)
+    sums = GradientSet([np.zeros_like(p.weights) for p in params[:n_hidden]], [0.0] * n_hidden, [0.0] * n_hidden)
 
-    grads = GradientSet(weight=[None] * n_hidden, threshold=[0.0] * n_hidden, leak=[0.0] * n_hidden)
-
-    # Adjoint of the operand input of the layer above, per timestep and per block of that
-    # layer's rows. The output accumulator makes it the same array at every t.
+    # Adjoint of the output layer's operand input: the output accumulator makes it the same at every step.
     grad_u = loss.grad_u.reshape(batch, -1).astype(params[-1].weights.dtype, copy=False)
-    upper = [[network.input_adjoint(stages[-1], params[-1].weights, grad_u)]] * total_t
-
-    gate_of, _ = trace.rules()
-    for h in range(n_hidden - 1, -1, -1):
-        stage, above = stages[h], stages[h + 1]
-        p = params[h]
-        v = float(p.threshold)
-        rows_of = blocks if h < split else [slice(0, batch)]
-        if h == split - 1:  # the conv prefix reads the fc tail's whole-batch adjoints block by block
-            upper = [[d[rows] for rows in blocks] for [d] in upper]
-        masks_of = [[None if m is None else m[rows] for m in masks] for rows in rows_of]
-        d_w = np.zeros_like(p.weights)
-        d_v = 0.0
-        d_leak = 0.0
-        # A step sums its threshold and its leak terms each as one whole-batch array, since numpy's
-        # pairwise sum depends on the array's extent. Several blocks write theirs into these buffers.
-        # A lone block sums each product as soon as it is made: writing them into layer-long
-        # buffers made the desk spec's whole-batch sweep about a tenth slower.
-        buffers = np.empty((2, batch) + stage.out_shape, dtype=dtype) if len(rows_of) > 1 else None
-        d_membrane_next = [np.zeros((rows.stop - rows.start,) + stage.out_shape, dtype=dtype) for rows in rows_of]
-        input_deltas = [[None] * len(rows_of) for _ in range(total_t)]
-        inputs = trace.layer_inputs[h]
-        cols = [None] * len(rows_of)  # kept over the steps only while the input repeats (direct coding)
-        settled = [trace.settled(h, total_t, rows) for rows in rows_of]
-        d_w_t = None  # the weight gradient of the current step over the blocks so far
-
-        for t in range(total_t, 0, -1):
-            for k, rows in enumerate(rows_of):
-                u_t, z_t = settled[k]
-                d_spikes = network.pre_adjoint(above, upper[t - 1][k], masks_of[k])
-                d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
-                d_membrane = d_z / v + p.leak * d_membrane_next[k]
-
-                u_prev, z_prev = settled[k] = trace.settled(h, t - 1, rows)  # the state step t started from
-                gate = gate_of(u_prev, z_prev, trace.thresholds[h]).astype(d_z.dtype)
-
-                if cols[k] is None:
-                    cols[k] = network.unfold(stage, inputs[t - 1, rows])
-                d_w_t = network.weight_grad(stage, d_z / v, cols[k], d_w_t)
-                if rows.stop == batch:  # the step's last block completes its sum over the batch
-                    d_w += d_w_t
-                    d_w_t = None
-                if inputs.strides[0]:
-                    cols[k] = None
-                if h:  # nothing reads the first layer's input adjoint
-                    input_deltas[t - 1][k] = network.input_adjoint(stage, p.weights, d_membrane)
-
-                if buffers is None:
-                    d_v += float((d_z * (-v * gate - u_t)).sum() / (v * v))
-                    d_leak += float((d_z * u_prev).sum() / v)
-                else:
-                    np.multiply(d_z, -v * gate - u_t, out=buffers[0, rows])
-                    np.multiply(d_z, u_prev, out=buffers[1, rows])
-                d_membrane_next[k] = d_membrane
-
-            if buffers is not None:
-                d_v += float(buffers[0].sum() / (v * v))
-                d_leak += float(buffers[1].sum() / v)
-
-        grads.weight[h] = d_w / batch
-        grads.threshold[h] = d_v / batch
-        grads.leak[h] = d_leak / batch
-        upper = input_deltas
-
-    return grads
+    upper = [network.input_adjoint(trace.spec.stages[-1], params[-1].weights, grad_u)] * trace.spec.total_timesteps
+    upper = _sweep(trace, params, config, sums, range(n_hidden - 1, split - 1, -1), slice(0, batch), upper)
+    for rows in blocks:
+        _sweep(trace, params, config, sums, range(split - 1, -1, -1), rows, [d[rows] for d in upper])
+    return GradientSet(*([g / batch for g in terms] for terms in (sums.weight, sums.threshold, sums.leak)))
 
 
 def backward(trace: TemporalTrace, params: list, loss: HybridLossResult, config: TrainConfig) -> GradientSet:

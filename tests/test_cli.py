@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -401,6 +402,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert model_file in err
         assert str(cfg.network.weight_shapes()) in err and str(other.network.weight_shapes()) in err
+
+    @pytest.mark.parametrize("scaling", [1e-60, 1e300])
+    def test_threshold_out_of_float32_range_is_configuration_error(self, tiny_root, capsys, scaling):
+        # the converted thresholds round to 0 or inf in the model file's float32
+        root, paths = tiny_root
+        cfg = tiny_config(root, paths, f"out_scaling_{scaling}")
+        cfg.calibration = CalibrationConfig(num_images=32, calib_timesteps=8, scaling=scaling)
+        assert cli.main(["run-all", "--config", write_config(root, cfg, "scaling.json")]) == 2
+        assert "layer 0's threshold" in capsys.readouterr().err
+        out_dir = root / f"out_scaling_{scaling}"
+        assert pipeline.ANN_MODEL in os.listdir(out_dir)
+        assert not [name for name in os.listdir(out_dir) if name.endswith((".model", ".tmp")) and name != pipeline.ANN_MODEL]
 
     def test_model_path_naming_a_directory_is_ingestion_error(self, tiny_root, capsys):
         root, paths = tiny_root

@@ -10,7 +10,10 @@ spikes as an argument, and the single-spike rule freezes a fired neuron in
 infer mode. ``network.forward`` and ``training.backward`` must reproduce
 them bit for bit: membranes, spike times, activity counters, dropout masks,
 and threshold and leak gradients, also when the conv prefix runs in blocks
-of fewer samples than the batch, in the forward pass and in BPTT alike. The
+of fewer samples than the batch. BPTT walks those blocks too and sums a conv
+stage's gradients block after block, so with several blocks a conv stage's
+threshold and leak gradients must agree to ``TERMS_RTOL`` of the sum of the
+absolute values of their terms; the fc stages' keep their bits. The
 reference sums each weight gradient with per-step einsums;
 ``network.weight_grad`` sums in another order through BLAS, so weight
 gradients must agree to ``WEIGHT_GRAD_RTOL`` of the layer's largest gradient
@@ -41,6 +44,7 @@ from snnkit.neuron import LayerParams, NeuronState, OutputState, output_step, su
 T = 5
 BATCH = 32
 WEIGHT_GRAD_RTOL = 1e-6
+TERMS_RTOL = 1e-6
 
 
 def reference_lif_step(state, params, current, prev_spikes):
@@ -131,14 +135,19 @@ def reference_forward(spec, params, encoded, mode, rng, neuron_model, counters=N
 
 
 def reference_backward(spec, params, rec, loss, config):
-    """Hidden-layer BPTT and the output-layer paths; returns (weights, thresholds, leaks)."""
+    """Hidden-layer BPTT and the output-layer paths.
+
+    Returns (weights, thresholds, leaks, scales): ``scales`` holds, per hidden
+    layer, the batch-averaged sums of the absolute values of the threshold
+    and of the leak terms, the sizes that ``TERMS_RTOL`` is relative to.
+    """
     widx = [i for i, l in enumerate(spec.layers) if isinstance(l, (Conv, FullyConnected))]
     total_t = spec.total_timesteps
     batch = loss.grad_u.shape[0]
     grad_u = loss.grad_u.astype(params[-1].weights.dtype)
     upper = [(grad_u @ params[-1].weights).reshape(rec["inputs"][-1][0].shape)] * total_t
     upper_li = widx[-1]
-    d_ws, d_vs, d_leaks = [], [], []
+    d_ws, d_vs, d_leaks, scales = [], [], [], []
     for h in range(len(widx) - 2, -1, -1):
         for li in range(upper_li - 1, widx[h], -1):
             layer = spec.layers[li]
@@ -148,7 +157,7 @@ def reference_backward(spec, params, rec, loss, config):
                 upper = [numerics.avgpool2d_input_grad(d, layer.window) for d in upper]
         layer, p = spec.layers[widx[h]], params[h]
         v = float(p.threshold)
-        d_w, d_v, d_leak = np.zeros_like(p.weights), 0.0, 0.0
+        d_w, d_v, d_leak, scale_v, scale_leak = np.zeros_like(p.weights), 0.0, 0.0, 0.0, 0.0
         d_next = np.zeros_like(rec["membranes"][h][0])
         below = [None] * total_t
         for t in range(total_t, 0, -1):
@@ -168,10 +177,13 @@ def reference_backward(spec, params, rec, loss, config):
             gate = rec["gates"][h][t - 1].astype(d_z.dtype)
             d_v += float((d_z * (-v * gate - u)).sum() / (v * v))
             d_leak += float((d_z * u_prev).sum() / v)
+            scale_v += float(np.abs(d_z * (-v * gate - u)).sum() / (v * v))
+            scale_leak += float(np.abs(d_z * u_prev).sum() / v)
             d_next = d_m
         d_ws.insert(0, d_w / batch)
         d_vs.insert(0, d_v / batch)
         d_leaks.insert(0, d_leak / batch)
+        scales.insert(0, (scale_v / batch, scale_leak / batch))
         upper, upper_li = below, widx[h]
     x_sum = np.zeros_like(rec["inputs"][-1][0].reshape(batch, -1))
     for x in rec["inputs"][-1]:
@@ -179,7 +191,7 @@ def reference_backward(spec, params, rec, loss, config):
     d_ws.append((np.einsum("bn,bf->nf", loss.grad_u, x_sum) / batch).astype(params[-1].weights.dtype))
     dtdv = training.spike_time_threshold_grad(rec["out"], params[-1].threshold, config.spike_time_band, total_t)
     d_vs.append(float((loss.grad_t * dtdv).sum() / batch))
-    return d_ws, d_vs, d_leaks + [0.0]
+    return d_ws, d_vs, d_leaks + [0.0], scales
 
 
 def stack_spec():
@@ -226,8 +238,8 @@ def same(a, b):
 CASES = [(e, m) for e in (HYBRID, DIRECT) for m in (SINGLE_SPIKE, MULTI_SPIKE)]
 
 
-@pytest.mark.parametrize("encoding,neuron_model", CASES)
-def test_train_forward_and_backward_match_reference(encoding, neuron_model):
+def check_train(encoding, neuron_model, blocked):
+    """A traced pass and its gradients against the reference; ``blocked`` when BPTT's conv prefix runs in blocks."""
     spec, params, encoded, labels = setup(encoding)
     config = training.TrainConfig()
     ref_out, rec = reference_forward(spec, params, encoded, TRAIN, np.random.default_rng(3), neuron_model)
@@ -251,13 +263,20 @@ def test_train_forward_and_backward_match_reference(encoding, neuron_model):
 
     loss = training.hybrid_loss(out, labels)
     grads = training.backward(trace, params, loss, config)
-    d_ws, d_vs, d_leaks = reference_backward(spec, params, rec, loss, config)
+    d_ws, d_vs, d_leaks, scales = reference_backward(spec, params, rec, loss, config)
     for g, w in zip(grads.weight, d_ws):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.abs(g - w).max() <= WEIGHT_GRAD_RTOL * np.abs(w).max()
-    assert grads.threshold == d_vs
-    assert grads.leak == d_leaks
+    split = network.conv_blocks(spec, BATCH, params[0].weights.dtype)[0] if blocked else 0
+    for got, want, scale in ((grads.threshold, d_vs, [s for s, _ in scales]), (grads.leak, d_leaks, [s for _, s in scales])):
+        assert all(abs(g - w) <= TERMS_RTOL * s for g, w, s in zip(got[:split], want[:split], scale))
+        assert got[split:] == want[split:]
     assert all(g.any() for g in grads.weight), "every layer must receive a gradient"
+
+
+@pytest.mark.parametrize("encoding,neuron_model", CASES)
+def test_train_forward_and_backward_match_reference(encoding, neuron_model):
+    check_train(encoding, neuron_model, blocked=False)
 
 
 @pytest.mark.parametrize("encoding,neuron_model", CASES)
@@ -283,5 +302,5 @@ def test_blocked_conv_prefix_matches_reference(monkeypatch, block, encoding, neu
         math.prod(s.weight_shape[1:]) * math.prod(s.out_shape[1:]) * 4 for s in stack_spec().stages if isinstance(s.layer, Conv)
     )
     monkeypatch.setattr(network, "BUDGET", block * per_sample)
-    test_train_forward_and_backward_match_reference(encoding, neuron_model)
+    check_train(encoding, neuron_model, blocked=True)
     test_infer_counters_match_reference(encoding, neuron_model)

@@ -7,7 +7,7 @@ import pytest
 from snnkit import network, numerics, training
 from snnkit.encoding import IntensityRange, encode_direct, encode_hybrid
 from snnkit.errors import ConfigurationError, ContractViolation, TrainingError
-from snnkit.network import AvgPool, Conv, FullyConnected, NetworkSpec, TRAIN, forward
+from snnkit.network import SINGLE_SPIKE, AvgPool, Conv, FullyConnected, NetworkSpec, TRAIN, forward
 from snnkit.neuron import LayerParams, OutputState
 from snnkit.training import (
     GradientSet,
@@ -23,6 +23,7 @@ from snnkit.training import (
     spike_time_threshold_grad,
     train_snn,
 )
+from test_time_major_reference import TERMS_RTOL, WEIGHT_GRAD_RTOL, reference_backward, reference_forward
 
 UNIT = IntensityRange(0.0, 1.0)
 
@@ -231,25 +232,47 @@ class TestBlockedBptt:
         )
         monkeypatch.setattr(network, "BUDGET", block * per_sample)
 
-    def run(self, monkeypatch, block):
-        """A traced pass with the conv prefix in blocks of ``block`` samples (None: the default BUDGET)."""
+    def inputs(self, encode):
         spec = self.spec()
-        if block is not None:
-            self.use_blocks(monkeypatch, block)
         rng = numerics.make_rng(6)
         params = [LayerParams(rng.normal(0.0, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
         images = rng.random((self.BATCH,) + spec.input_shape).astype(np.float32)
-        out, trace = forward(spec, params, encode_hybrid(images, UNIT, self.T), mode=TRAIN, rng=numerics.make_rng(3))
+        encoded = encode_hybrid(images, UNIT, self.T) if encode == "hybrid" else encode_direct(images, self.T)
+        return params, encoded
+
+    def run(self, monkeypatch, block, encode="hybrid"):
+        """A traced pass with the conv prefix in blocks of ``block`` samples (None: the default BUDGET)."""
+        if block is not None:
+            self.use_blocks(monkeypatch, block)
+        params, encoded = self.inputs(encode)
+        out, trace = forward(self.spec(), params, encoded, mode=TRAIN, rng=numerics.make_rng(3))
         return params, trace, hybrid_loss(out, one_hot(np.arange(self.BATCH) % 3, 3))
 
-    @pytest.mark.parametrize("block", [1, 3])
-    def test_blocks_give_the_whole_batch_bits(self, monkeypatch, block):
+    def whole_and_blocked(self, monkeypatch, block):
+        """``backward`` over one traced pass, first as one block, then in blocks of ``block`` samples."""
         params, trace, loss = self.run(monkeypatch, None)
-        whole = bptt_hidden_grads(trace, params, loss, TrainConfig())
+        whole = backward(trace, params, loss, TrainConfig())
         self.use_blocks(monkeypatch, block)
-        blocked = bptt_hidden_grads(trace, params, loss, TrainConfig())
-        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(blocked.weight, whole.weight))
-        assert blocked.threshold == whole.threshold and blocked.leak == whole.leak
+        return params, loss, whole, backward(trace, params, loss, TrainConfig())
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_blocks_keep_the_fc_and_output_bits(self, monkeypatch, block):
+        _, _, whole, blocked = self.whole_and_blocked(monkeypatch, block)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(blocked.weight[2:], whole.weight[2:]))
+        assert blocked.threshold[2:] == whole.threshold[2:] and blocked.leak[2:] == whole.leak[2:]
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_blocks_give_the_whole_batch_within_tolerance(self, monkeypatch, block):
+        # a conv stage sums its gradients block after block: weights agree to a fraction of the layer's
+        # largest entry, thresholds and leaks to a fraction of the sum of their terms' absolute values
+        params, loss, whole, blocked = self.whole_and_blocked(monkeypatch, block)
+        _, rec = reference_forward(self.spec(), params, self.inputs("hybrid")[1], TRAIN, numerics.make_rng(3), SINGLE_SPIKE)
+        scales = reference_backward(self.spec(), params, rec, loss, TrainConfig())[3]
+        for a, b in zip(blocked.weight, whole.weight):
+            assert a.dtype == b.dtype and np.abs(a - b).max() <= WEIGHT_GRAD_RTOL * np.abs(b).max()
+        for h, (scale_v, scale_leak) in enumerate(scales):
+            assert abs(blocked.threshold[h] - whole.threshold[h]) <= TERMS_RTOL * scale_v
+            assert abs(blocked.leak[h] - whole.leak[h]) <= TERMS_RTOL * scale_leak
         assert all(g.any() for g in whole.weight)
 
     @pytest.mark.parametrize("block,blocks", [(None, 1), (3, 3), (1, 8)])
@@ -273,11 +296,12 @@ class TestBlockedBptt:
         assert calls == {"surrogate": sweeps * self.T, "norm": sweeps * (self.T + 1)}
         assert all(g.any() for g in grads.weight)
 
-    def test_one_sample_blocks_hold_less_memory(self, monkeypatch):
+    @pytest.mark.parametrize("encode", ["hybrid", "direct"])
+    def test_one_sample_blocks_hold_less_memory(self, monkeypatch, encode):
         """BPTT's peak allocation above what the trace holds, whole batch against 1-sample blocks."""
         peaks = []
         for block in (None, 1):
-            params, trace, loss = self.run(monkeypatch, block)
+            params, trace, loss = self.run(monkeypatch, block, encode)
             tracemalloc.start()
             try:
                 bptt_hidden_grads(trace, params, loss, TrainConfig())
