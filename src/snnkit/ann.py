@@ -23,13 +23,6 @@ from .neuron import LayerParams, NeuronState, lif_step
 
 
 @dataclass
-class AnnParams:
-    """Trained bias-free weights, one tensor per weighted layer."""
-
-    weights: list
-
-
-@dataclass
 class CalibrationConfig:
     percentile: float = 99.7
     num_images: int = 512
@@ -71,14 +64,14 @@ def default_lr_schedule(epochs: int, base_lr: float = 0.01):
     return lr_at
 
 
-def init_ann(spec: NetworkSpec, rng: np.random.Generator) -> AnnParams:
-    """Fan-in variance-scaling uniform initialization."""
+def init_ann(spec: NetworkSpec, rng: np.random.Generator) -> list:
+    """Fan-in variance-scaling uniform initialization: one bias-free weight tensor per weighted layer."""
     weights = []
     for shape in spec.weight_shapes():
         fan_in = int(np.prod(shape[1:]))
         limit = math.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-limit, limit, size=shape).astype(np.float32))
-    return AnnParams(weights=weights)
+    return weights
 
 
 def ann_forward(spec: NetworkSpec, weights: list, x: np.ndarray, train: bool = False, rng=None):
@@ -121,10 +114,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return float(loss), (dlogits / n).astype(logits.dtype)
 
 
-def ann_accuracy(spec: NetworkSpec, params: AnnParams, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
+def ann_accuracy(spec: NetworkSpec, weights: list, images: np.ndarray, labels: np.ndarray) -> float:
+    """Accuracy (percent) of the ReLU network, 256 images per forward pass."""
     hits = 0
+    batch = 256
     for s in range(0, len(images), batch):
-        logits, _ = ann_forward(spec, params.weights, images[s : s + batch])
+        logits, _ = ann_forward(spec, weights, images[s : s + batch])
         hits += int((np.argmax(logits, axis=1) == labels[s : s + batch]).sum())
     return 100.0 * hits / len(images)
 
@@ -141,12 +136,12 @@ def ann_train(
 ):
     """SGD-with-momentum training of the constrained ReLU network.
 
-    Returns (AnnParams, history) where history holds the per-epoch mean loss.
+    Returns (weights, history) where history holds the per-epoch mean loss.
     """
-    params = init_ann(spec, rng)
+    weights = init_ann(spec, rng)
     if lr_schedule is None:
         lr_schedule = default_lr_schedule(epochs)
-    velocity = [np.zeros_like(w) for w in params.weights]
+    velocity = [np.zeros_like(w) for w in weights]
     history = {"loss": []}
     n = len(images)
     for epoch in range(epochs):
@@ -156,20 +151,20 @@ def ann_train(
         for s in range(0, n, batch_size):
             idx = order[s : s + batch_size]
             try:
-                logits, cache = ann_forward(spec, params.weights, images[idx], train=True, rng=rng)
+                logits, cache = ann_forward(spec, weights, images[idx], train=True, rng=rng)
                 loss, dlogits = softmax_cross_entropy(logits, labels[idx])
             except NumericalError as exc:
                 raise TrainingError(f"ANN training diverged at epoch {epoch}: {exc}") from exc
             if not math.isfinite(loss):
                 raise TrainingError(f"ANN training diverged at epoch {epoch}: loss={loss}")
-            grads = ann_backward(spec, params.weights, cache, dlogits)
-            for w, g, v in zip(params.weights, grads, velocity):
+            grads = ann_backward(spec, weights, cache, dlogits)
+            for w, g, v in zip(weights, grads, velocity):
                 v *= momentum
                 v += g
                 w -= lr * v
             losses.append(loss)
         history["loss"].append(float(np.mean(losses)))
-    return params, history
+    return weights, history
 
 
 def percentile_nearest_rank(values: np.ndarray, p: float) -> float:
@@ -228,7 +223,7 @@ class _BitTrain:
         return bits.reshape(self.shape).astype(self.dtype)
 
 
-def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.ndarray, cfg: CalibrationConfig):
+def calibrate_thresholds(weights: list, spec: NetworkSpec, sample_images: np.ndarray, cfg: CalibrationConfig):
     """Sequential front-to-back percentile calibration of per-layer thresholds.
 
     Layer l's threshold is the percentile of the input currents it receives
@@ -254,7 +249,7 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
     frames = [sample_images[s : s + chunk] for s in range(0, len(sample_images), chunk)]
 
     def current(l, x):
-        return network.input_current(stages[l], ann.weights[l], network.apply_pre(stages[l], x, None))
+        return network.input_current(stages[l], weights[l], network.apply_pre(stages[l], x, None))
 
     def collector(l):
         return _TopCollector(counts[l] * len(sample_images) * steps, cfg.percentile)
@@ -276,7 +271,7 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
         thresholds.append(value)
         if l + 1 == len(stages):
             break
-        params = LayerParams(ann.weights[l], value, 1.0)
+        params = LayerParams(weights[l], value, 1.0)
         top = collector(l + 1)
         below, trains = trains, []
         for frame in frames:
@@ -293,11 +288,11 @@ def calibrate_thresholds(ann: AnnParams, spec: NetworkSpec, sample_images: np.nd
     return thresholds
 
 
-def convert(ann: AnnParams, thresholds: list, cfg: CalibrationConfig):
+def convert(weights: list, thresholds: list, cfg: CalibrationConfig):
     """Copy ANN weights into spiking layers with scaled thresholds and unit leak."""
-    if len(thresholds) != len(ann.weights):
+    if len(thresholds) != len(weights):
         raise ConfigurationError("one calibrated threshold per weighted layer is required")
     return [
         LayerParams(weights=w.copy(), threshold=cfg.scaling * v, leak=1.0)
-        for w, v in zip(ann.weights, thresholds)
+        for w, v in zip(weights, thresholds)
     ]

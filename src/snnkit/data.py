@@ -172,31 +172,28 @@ _GLYPHS = [
 ]
 
 
-def _glyph_masks(scale: int) -> np.ndarray:
-    masks = np.zeros((10, 7 * scale, 5 * scale), dtype=np.float32)
+# Glyph pixels are 4x4 blocks, 4% of them drop out, and the background noise is uniform in [0, 0.08).
+_SCALE, _GLYPH_DROPOUT, _NOISE = 4, 0.04, 0.08
+
+
+def _glyph_masks() -> np.ndarray:
+    masks = np.zeros((10, 7 * _SCALE, 5 * _SCALE), dtype=np.float32)
     for digit, rows in enumerate(_GLYPHS):
         coarse = np.array([[c == "1" for c in row] for row in rows], dtype=np.float32)
-        masks[digit] = np.kron(coarse, np.ones((scale, scale), dtype=np.float32))
+        masks[digit] = np.kron(coarse, np.ones((_SCALE, _SCALE), dtype=np.float32))
     return masks
 
 
-def synthetic_digits(
-    n_train: int,
-    n_test: int,
-    seed: int,
-    size: int = 28,
-    scale: int = 4,
-    noise: float = 0.08,
-    glyph_dropout: float = 0.04,
-):
+def synthetic_digits(n_train: int, n_test: int, seed: int, size: int = 28):
     """Deterministic digit-classification corpus of jittered glyph renderings.
 
-    Each sample places a scaled 5x7 digit glyph at a random offset with
-    intensity jitter, random glyph-pixel dropout, and background noise.
-    Classes cycle round-robin so both splits stay balanced.
+    Each sample places a scaled 5x7 digit glyph at a random offset in a
+    ``size`` x ``size`` image, with intensity jitter, random glyph-pixel
+    dropout, and background noise. Classes cycle round-robin so both splits
+    stay balanced.
     """
     rng = np.random.default_rng(seed)
-    masks = _glyph_masks(scale)
+    masks = _glyph_masks()
     gh, gw = masks.shape[1:]
     if gh > size or gw > size:
         raise IngestionError(f"glyph {gh}x{gw} does not fit into a {size}x{size} image")
@@ -206,12 +203,12 @@ def synthetic_digits(
         labels = (np.arange(n) + offset) % 10
         for i in range(n):
             digit = labels[i]
-            glyph = masks[digit] * (rng.random((gh, gw)) >= glyph_dropout)
+            glyph = masks[digit] * (rng.random((gh, gw)) >= _GLYPH_DROPOUT)
             base = rng.uniform(0.6, 0.95)
             glyph = glyph * (base + rng.uniform(-0.06, 0.06, size=(gh, gw)))
             top = rng.integers(0, size - gh + 1)
             left = rng.integers(0, size - gw + 1)
-            canvas = rng.uniform(0.0, noise, size=(size, size)).astype(np.float32)
+            canvas = rng.uniform(0.0, _NOISE, size=(size, size)).astype(np.float32)
             region = canvas[top : top + gh, left : left + gw]
             canvas[top : top + gh, left : left + gw] = np.maximum(region, glyph)
             images[i, 0] = np.clip(canvas, 0.0, 1.0)
@@ -225,8 +222,6 @@ def synthetic_digits(
 
 def write_synthetic_idx(directory, n_train: int, n_test: int, seed: int):
     """Materialize the synthetic corpus as the four standard IDX files."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     tr_x, tr_y, te_x, te_y = synthetic_digits(n_train, n_test, seed)
     paths = {

@@ -8,13 +8,14 @@ one per weighted layer with its pool/dropout descriptors in front. The
 per-stage ops here are the only code that knows a layer's kind: ANN
 training, calibration, the forward pass and BPTT are loops over the stages.
 
-The forward pass runs the chosen encoder's per-timestep inputs through the
-stack, recording the temporal trace needed by backpropagation-through-time
-in train mode, or lightweight activity counters in infer mode. The conv
-stages run block by block over the samples, each cache-sized block through
-all T steps (``conv_blocks``, whose blocks BPTT walks too); the fc stages
-then run step by step on the whole batch. A pass that keeps no trace updates
-each layer's neuron state in place after the first step.
+The forward pass runs the chosen encoder's per-timestep inputs for a batch
+of samples through the stack, recording the temporal trace needed by
+backpropagation-through-time in train mode, or lightweight activity counters
+in infer mode. The conv stages run block by block over the samples, each
+cache-sized block through all T steps (``conv_blocks``, whose blocks BPTT
+walks too); the fc stages then run step by step on the whole batch. A pass
+that keeps no trace updates each layer's neuron state in place after the
+first step.
 """
 
 from __future__ import annotations
@@ -223,12 +224,11 @@ class TemporalTrace:
     state only the membrane is stored per step: ``norm_potentials``,
     ``reset_gates`` and ``hidden_spikes`` are derived from the membranes on
     access, through the step rule's own expressions, so they equal what the
-    pass computed bit for bit. BPTT needs a train-mode trace: only that one
-    carries the dropout masks the forward pass applied.
+    pass computed bit for bit. Only a train-mode pass records a trace, so it
+    carries the dropout masks that pass applied, which BPTT reads.
     """
 
     spec: "NetworkSpec"
-    mode: str
     neuron_model: str
     thresholds: list          # [hidden_idx] threshold the pass ran with
     layer_inputs: list        # [weighted_idx] (T, B) + operand_shape: input fed to that layer's weights
@@ -307,19 +307,16 @@ class ActivityCounters:
     def add_samples(self, batch: int):
         """Count ``batch`` more samples; returns their zeroed per-neuron tally rows, or None if untracked.
 
-        Each tally is a leading row slice of a zeroed buffer that doubles when
-        full, so tallying n samples over many calls copies O(n) rows in all.
+        Each call appends the rows to every tally. A pass over an eval set makes
+        one call per ``evaluate`` batch, so the copies stay few.
         """
         self.samples += batch
         if self.per_neuron_spikes is None:
             return None
-        for h, tally in enumerate(self.per_neuron_spikes):
-            n = len(tally)
-            buf = tally if tally.base is None else tally.base
-            if len(buf) < n + batch:
-                buf = np.zeros((max(2 * len(buf), n + batch),) + tally.shape[1:], dtype=np.int32)
-                buf[:n] = tally
-            self.per_neuron_spikes[h] = buf[: n + batch]
+        self.per_neuron_spikes = [
+            np.concatenate([tally, np.zeros((batch,) + tally.shape[1:], dtype=np.int32)])
+            for tally in self.per_neuron_spikes
+        ]
         return [tally[len(tally) - batch :] for tally in self.per_neuron_spikes]
 
 
@@ -439,12 +436,12 @@ def forward(
     rng=None,
     neuron_model: str = SINGLE_SPIKE,
     counters: ActivityCounters | None = None,
-    with_trace: bool | None = None,
 ):
-    """Run the full T-timestep pass for one sample or a batch of samples.
+    """Run the full T-timestep pass for a batch of samples.
 
-    Returns (OutputState, TemporalTrace-or-None). A batch is recognized by a
-    leading extra axis on the encoded arrays relative to spec.input_shape.
+    The encoded arrays carry a leading batch axis in front of
+    spec.input_shape; one sample is a batch of one. Returns (OutputState,
+    TemporalTrace), and the trace is None unless ``mode`` is TRAIN.
 
     The conv stages, always a prefix of the stack since an fc layer flattens,
     run block-major: one block of samples goes through all T steps, with its
@@ -462,23 +459,16 @@ def forward(
         raise ConfigurationError(
             f"encoded input has T={encoded.total_timesteps}, spec expects {spec.total_timesteps}"
         )
-    if with_trace is None:
-        with_trace = mode == TRAIN
-
-    pixel_shape = encoded.pixel_shape
-    if tuple(pixel_shape) == tuple(spec.input_shape):
-        batched = False
-        batch = 1
-    elif tuple(pixel_shape[1:]) == tuple(spec.input_shape):
-        batched = True
-        batch = pixel_shape[0]
-    else:
-        raise ConfigurationError(f"input shape {pixel_shape} does not match spec {spec.input_shape}")
+    pixel_shape = tuple(encoded.pixel_shape)
+    if len(pixel_shape) != len(spec.input_shape) + 1 or pixel_shape[1:] != spec.input_shape:
+        raise ConfigurationError(f"input shape {pixel_shape} is not a batch of the spec's {spec.input_shape}")
+    batch = pixel_shape[0]
     if batch == 0:
         raise ContractViolation("forward needs at least one sample")
 
+    train = mode == TRAIN
     dtype = params[0].weights.dtype
-    masks = sample_dropout_masks(spec, batch, rng, dtype) if mode == TRAIN else [None] * len(spec.layers)
+    masks = sample_dropout_masks(spec, batch, rng, dtype) if train else [None] * len(spec.layers)
 
     stages = spec.stages
     n_hidden = len(stages) - 1
@@ -496,10 +486,9 @@ def forward(
         return np.lib.stride_tricks.as_strided(frame, (total_t,) + frame.shape, (0,) + frame.strides)
 
     trace = None
-    if with_trace:
+    if train:
         trace = TemporalTrace(
             spec=spec,
-            mode=mode,
             neuron_model=neuron_model,
             thresholds=[p.threshold for p in params[:n_hidden]],
             layer_inputs=[over_time(s.operand_shape, i == 0 and repeats) for i, s in enumerate(stages)],
@@ -526,13 +515,12 @@ def forward(
                     drive = held  # the frame repeats, and the trace's stride-0 frame already holds it
                 else:
                     if i == 0:
-                        frame = np.asarray(encoded.input_at(t))
-                        x = np.asarray((frame if batched else frame[None])[rows], dtype=dtype)
+                        x = np.asarray(encoded.input_at(t)[rows], dtype=dtype)
                     if i == first and i:
                         x = operands[t - 1]  # pooled and masked by the conv prefix, and traced there
                     else:
                         x = apply_pre(stage, x, rows_masks)
-                        if with_trace:
+                        if train:
                             trace.layer_inputs[i][t - 1, rows] = x
                     cols = unfold(stage, x)
                     drive = current(stage, p.weights, cols)
@@ -544,7 +532,7 @@ def forward(
 
                 if i == n_hidden:
                     out_state = output_step(out_state, p, drive, t, total_t)
-                    if with_trace:
+                    if train:
                         trace.output_membranes[t - 1] = out_state.membrane
                     continue
                 # A trace keeps every step's membrane, so a traced pass writes it into the trace and
@@ -553,7 +541,7 @@ def forward(
                 # step's temporaries in the heap, so freeing them does not hand the heap top back to
                 # the OS to be faulted in again at the next step.
                 state = states[i]
-                if with_trace:
+                if train:
                     out = NeuronState(trace.membranes[i][t - 1, rows], state.norm_potential, state.has_spiked)
                 else:
                     out = state if t > 1 else None
@@ -592,11 +580,10 @@ def evaluate(
     images: np.ndarray,
     labels: np.ndarray,
     encode,
-    batch: int = 128,
     neuron_model: str = SINGLE_SPIKE,
     counters: ActivityCounters | None = None,
 ) -> float:
-    """Infer-mode accuracy (percent) over a labelled image set.
+    """Infer-mode accuracy (percent) over a labelled image set, 128 images per forward pass.
 
     ``encode`` maps an image batch to a SpikeInputSequence; activity counters
     are filled in when supplied.
@@ -604,6 +591,7 @@ def evaluate(
     if len(images) == 0:
         raise ContractViolation("evaluate needs at least one sample")
     hits = 0
+    batch = 128
     for s in range(0, len(images), batch):
         encoded = encode(images[s : s + batch])
         out, _ = forward(spec, params, encoded, mode=INFER, neuron_model=neuron_model, counters=counters)

@@ -36,14 +36,6 @@ def conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> i
     return span // stride + 1
 
 
-def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise DimensionError(f"expected a (C,H,W) or (B,C,H,W) array, got shape {x.shape}")
-
-
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Unfold (B,C,H,W) into patch columns of shape (B, C*k*k, Ho*Wo)."""
     b, c, h, w = x.shape
@@ -84,24 +76,23 @@ def conv_from_cols(weights: np.ndarray, cols: np.ndarray, out_hw) -> np.ndarray:
 def conv2d(x, weights, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlation with zero padding and no bias term.
 
-    Accepts a single (Ci,H,W) input or a batch (B,Ci,H,W); the kernel is
-    (Co,Ci,k,k). Returns the matching (Co,Ho,Wo) or (B,Co,Ho,Wo) map.
+    Takes a batch (B,Ci,H,W) and a (Co,Ci,k,k) kernel; returns the (B,Co,Ho,Wo) map.
     """
     x = np.asarray(x)
     weights = np.asarray(weights)
     if weights.ndim != 4 or weights.shape[2] != weights.shape[3]:
         raise DimensionError(f"conv kernel must be (Co,Ci,k,k), got {weights.shape}")
-    xb, squeezed = _as_batched(x)
-    if xb.shape[1] != weights.shape[1]:
+    if x.ndim != 4:
+        raise DimensionError(f"conv input must be a (B,Ci,H,W) batch, got shape {x.shape}")
+    if x.shape[1] != weights.shape[1]:
         raise DimensionError(
-            f"conv input channels {xb.shape[1]} do not match kernel channels {weights.shape[1]}"
+            f"conv input channels {x.shape[1]} do not match kernel channels {weights.shape[1]}"
         )
     k = weights.shape[2]
-    ho = conv_output_extent(xb.shape[2], k, stride, padding)
-    wo = conv_output_extent(xb.shape[3], k, stride, padding)
-    out = conv_from_cols(weights, im2col(xb, k, stride, padding), (ho, wo))
-    require_finite("conv2d", out)
-    return out[0] if squeezed else out
+    ho = conv_output_extent(x.shape[2], k, stride, padding)
+    wo = conv_output_extent(x.shape[3], k, stride, padding)
+    out = conv_from_cols(weights, im2col(x, k, stride, padding), (ho, wo))
+    return require_finite("conv2d", out)
 
 
 def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, in_shape, stride: int, padding: int) -> np.ndarray:
@@ -123,7 +114,7 @@ def conv2d_weight_grad(dout: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def avgpool2d(x, window: int) -> np.ndarray:
-    """Mean over non-overlapping window x window blocks of a (…,C,H,W) map.
+    """Mean over non-overlapping window x window blocks of a (B,C,H,W) batch.
 
     Each window row is summed left to right, the row sums are added top to
     bottom, and the total is divided by ``window * window``. Starting from
@@ -132,15 +123,16 @@ def avgpool2d(x, window: int) -> np.ndarray:
     and result of ``reshape(...).mean(axis=(3, 5))``, bit for bit.
     """
     x = np.asarray(x)
-    xb, squeezed = _as_batched(x)
-    h, w = xb.shape[2:]
+    if x.ndim != 4:
+        raise DimensionError(f"pool input must be a (B,C,H,W) batch, got shape {x.shape}")
+    h, w = x.shape[2:]
     if h % window or w % window:
         raise ConfigurationError(f"pool window {window} does not divide extents {(h, w)}")
 
     def row_sum(ky):
-        row = xb[:, :, ky::window, 0::window] + 0.0
+        row = x[:, :, ky::window, 0::window] + 0.0
         for kx in range(1, window):
-            row += xb[:, :, ky::window, kx::window]
+            row += x[:, :, ky::window, kx::window]
         return row
 
     out = row_sum(0)
@@ -148,8 +140,7 @@ def avgpool2d(x, window: int) -> np.ndarray:
         out += row_sum(ky)
     out /= window * window
     out = out.astype(x.dtype, copy=False)
-    require_finite("avgpool2d", out)
-    return out[0] if squeezed else out
+    return require_finite("avgpool2d", out)
 
 
 def avgpool2d_input_grad(dout: np.ndarray, window: int) -> np.ndarray:

@@ -114,7 +114,7 @@ class Experiment:
         self.dataset = load_experiment_dataset(cfg)
         self.rngs = phase_rngs(cfg.seed)
         self.report = RunReport(config=cfg.to_dict(), seed=cfg.seed)
-        self.ann_params = None
+        self.ann_weights = None
         self.thresholds = None
         self.snn_params = None
 
@@ -135,7 +135,7 @@ class Experiment:
     def train_ann(self):
         def run():
             cfg = self.cfg
-            params, history = ann_mod.ann_train(
+            weights, history = ann_mod.ann_train(
                 cfg.network,
                 self.dataset.train_images,
                 self.dataset.train_labels,
@@ -145,32 +145,32 @@ class Experiment:
                 batch_size=cfg.ann_train.batch_size,
                 momentum=cfg.ann_train.momentum,
             )
-            self.ann_params = params
+            self.ann_weights = weights
             self.report.ann_loss_curve = history["loss"]
             images, labels = _eval_slice(cfg, self.dataset.test_images, self.dataset.test_labels)
-            self.report.accuracy_ann = ann_mod.ann_accuracy(cfg.network, params, images, labels)
+            self.report.accuracy_ann = ann_mod.ann_accuracy(cfg.network, weights, images, labels)
             modelio.save_params(
                 self._path(ANN_MODEL),
-                [LayerParams(w, 1.0, 1.0) for w in params.weights],
+                [LayerParams(w, 1.0, 1.0) for w in weights],
             )
-            return params
+            return weights
 
         return self._timed("train-ann", run)
 
     def _require_ann(self):
-        if self.ann_params is None:
-            self.ann_params = ann_mod.AnnParams(weights=[p.weights for p in self._load_model(ANN_MODEL)])
-        return self.ann_params
+        if self.ann_weights is None:
+            self.ann_weights = [p.weights for p in self._load_model(ANN_MODEL)]
+        return self.ann_weights
 
     def calibrate(self):
         def run():
             cfg = self.cfg
-            ann_params = self._require_ann()
+            ann_weights = self._require_ann()
             rng = self.rngs["calibrate"]
             count = min(cfg.calibration.num_images, len(self.dataset.train_images))
             idx = rng.choice(len(self.dataset.train_images), size=count, replace=False)
             self.thresholds = ann_mod.calibrate_thresholds(
-                ann_params, cfg.network, self.dataset.train_images[idx], cfg.calibration
+                ann_weights, cfg.network, self.dataset.train_images[idx], cfg.calibration
             )
             with modelio.atomic_write(self._path(THRESHOLDS_FILE), "w") as fh:
                 json.dump({"thresholds": self.thresholds}, fh, indent=2)
@@ -212,9 +212,9 @@ class Experiment:
 
         def run():
             cfg = self.cfg
-            ann_params = self._require_ann()
+            ann_weights = self._require_ann()
             thresholds = self._require_thresholds()
-            unscaled = ann_mod.convert(ann_params, thresholds, dataclasses.replace(cfg.calibration, scaling=1.0))
+            unscaled = ann_mod.convert(ann_weights, thresholds, dataclasses.replace(cfg.calibration, scaling=1.0))
             spec_calib = dataclasses.replace(cfg.network, total_timesteps=cfg.calibration.calib_timesteps)
             images, labels = _eval_slice(cfg, self.dataset.test_images, self.dataset.test_labels)
             self.report.accuracy_converted = evaluate(
@@ -225,7 +225,7 @@ class Experiment:
                 lambda x: encode_direct(x, cfg.calibration.calib_timesteps),
                 neuron_model=MULTI_SPIKE,
             )
-            converted = ann_mod.convert(ann_params, thresholds, cfg.calibration)
+            converted = ann_mod.convert(ann_weights, thresholds, cfg.calibration)
             modelio.save_params(self._path(CONVERTED_MODEL), converted)
             return converted
 

@@ -96,7 +96,7 @@ def hybrid_loss(output: OutputState, label_onehot: np.ndarray) -> HybridLossResu
         t_softmax=t_soft,
         grad_u=u_soft - y,
         grad_t=t_soft - y,
-        per_sample=np.atleast_1d(per_sample),
+        per_sample=per_sample,
     )
 
 
@@ -130,7 +130,7 @@ def spike_time_threshold_grad(output_membranes: np.ndarray, threshold: float, ba
 
 def _loss_batch(trace: TemporalTrace, loss: HybridLossResult) -> int:
     """The number of samples the loss covers, which must be the trace's."""
-    batch = loss.grad_u.reshape(-1, trace.spec.num_classes).shape[0]
+    batch = len(loss.grad_u)
     traced = trace.output_membranes.shape[1]
     if batch != traced:
         raise ContractViolation(f"the loss covers {batch} samples but the trace {traced}")
@@ -143,10 +143,9 @@ def output_layer_grads(trace: TemporalTrace, loss: HybridLossResult, params: lis
     last = len(params) - 1
     stage = trace.spec.stages[last]
     x_sum = sum(network.unfold(stage, x) for x in trace.layer_inputs[last])
-    d_weights = network.weight_grad(stage, loss.grad_u.reshape(batch, -1), x_sum) / batch
+    d_weights = network.weight_grad(stage, loss.grad_u, x_sum) / batch
     dtdv = spike_time_threshold_grad(trace.output_membranes, params[last].threshold, band, trace.spec.total_timesteps)
-    grad_t = loss.grad_t.reshape(batch, -1)
-    d_threshold = float((grad_t * dtdv).sum() / batch)
+    d_threshold = float((loss.grad_t * dtdv).sum() / batch)
     return d_weights.astype(params[last].weights.dtype), d_threshold
 
 
@@ -210,15 +209,13 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
     those of a whole-batch pass, bit for bit. With several, a conv stage's
     gradients are summed block after block, which changes their rounding.
     """
-    if trace.mode != TRAIN:
-        raise ContractViolation("hidden-layer BPTT needs a train-mode trace")
     batch = _loss_batch(trace, loss)
     n_hidden = len(params) - 1
     split, blocks = network.conv_blocks(trace.spec, batch, params[0].weights.dtype)
     sums = GradientSet([np.zeros_like(p.weights) for p in params[:n_hidden]], [0.0] * n_hidden, [0.0] * n_hidden)
 
     # Adjoint of the output layer's operand input: the output accumulator makes it the same at every step.
-    grad_u = loss.grad_u.reshape(batch, -1).astype(params[-1].weights.dtype, copy=False)
+    grad_u = loss.grad_u.astype(params[-1].weights.dtype, copy=False)
     upper = [network.input_adjoint(trace.spec.stages[-1], params[-1].weights, grad_u)] * trace.spec.total_timesteps
     upper = _sweep(trace, params, config, sums, range(n_hidden - 1, split - 1, -1), slice(0, batch), upper)
     for rows in blocks:

@@ -36,7 +36,7 @@ def desk_spec():
 @pytest.fixture(scope="session")
 def desk_ann(desk_dataset, desk_spec):
     print("\n[desk] training the ANN ...")
-    params, history = ann.ann_train(
+    weights, history = ann.ann_train(
         desk_spec,
         desk_dataset.train_images,
         desk_dataset.train_labels,
@@ -44,9 +44,9 @@ def desk_ann(desk_dataset, desk_spec):
         rng=numerics.make_rng(1),
         batch_size=64,
     )
-    acc = ann.ann_accuracy(desk_spec, params, desk_dataset.test_images, desk_dataset.test_labels)
+    acc = ann.ann_accuracy(desk_spec, weights, desk_dataset.test_images, desk_dataset.test_labels)
     print(f"[desk] ANN test accuracy: {acc:.2f}%")
-    return {"params": params, "accuracy": acc, "history": history}
+    return {"weights": weights, "accuracy": acc, "history": history}
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +60,7 @@ def desk_thresholds(desk_ann, desk_dataset, desk_spec, desk_calibration_config):
     rng = numerics.make_rng(2)
     idx = rng.choice(len(desk_dataset.train_images), size=desk_calibration_config.num_images, replace=False)
     thresholds = ann.calibrate_thresholds(
-        desk_ann["params"], desk_spec, desk_dataset.train_images[idx], desk_calibration_config
+        desk_ann["weights"], desk_spec, desk_dataset.train_images[idx], desk_calibration_config
     )
     print(f"[desk] thresholds: {['%.3f' % t for t in thresholds]}")
     return thresholds
@@ -68,7 +68,7 @@ def desk_thresholds(desk_ann, desk_dataset, desk_spec, desk_calibration_config):
 
 @pytest.fixture(scope="session")
 def desk_converted(desk_ann, desk_thresholds, desk_calibration_config):
-    return ann.convert(desk_ann["params"], desk_thresholds, desk_calibration_config)
+    return ann.convert(desk_ann["weights"], desk_thresholds, desk_calibration_config)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ fine-tuned spiking models, and the multi-spike direct-encoding baseline) are
 provided by session fixtures in conftest.py and shared across criteria.
 """
 
+import dataclasses
+
 import numpy as np
 
 from snnkit import ann, data, numerics, pipeline, training
@@ -14,7 +16,9 @@ from snnkit.encoding import HYBRID, IntensityRange, compute_firing_time, encode_
 from snnkit.metrics import EnergyCosts, energy, flops, spike_activity
 from snnkit.network import (
     MULTI_SPIKE,
+    TRAIN,
     ActivityCounters,
+    Dropout,
     FullyConnected,
     NetworkSpec,
     evaluate,
@@ -66,8 +70,8 @@ def _toy_setup(seed, t=5, hidden=8, inputs=6, classes=4):
         LayerParams(rng.normal(0, 0.9, s).astype(np.float32), 1.0, 1.0)
         for s in spec.weight_shapes()
     ]
-    image = rng.random(inputs).astype(np.float32)
-    enc = encode_hybrid(image, IntensityRange(0.0, 1.0), t)
+    images = rng.random((1, inputs)).astype(np.float32)
+    enc = encode_hybrid(images, IntensityRange(0.0, 1.0), t)
     label = one_hot(np.array([int(rng.integers(0, classes))]), classes)
     return spec, params, enc, label
 
@@ -89,22 +93,22 @@ class TestCriterion2ExactGradientOracle:
         rng = numerics.make_rng(99)
         for _ in range(40):
             n = 5
-            u = rng.normal(size=n)
-            t = rng.integers(1, 6, size=n)
-            y = one_hot(np.array([int(rng.integers(0, n))]), n)[0]
+            u = rng.normal(size=(1, n))
+            t = rng.integers(1, 6, size=(1, n))
+            y = one_hot(np.array([int(rng.integers(0, n))]), n)
             from snnkit.neuron import OutputState
 
             res = hybrid_loss(OutputState(membrane=u, spike_time=t), y)
             i = int(rng.integers(0, n))
             eps = 1e-6
             up, um = u.copy(), u.copy()
-            up[i] += eps
-            um[i] -= eps
+            up[0, i] += eps
+            um[0, i] -= eps
             numeric = (
                 hybrid_loss(OutputState(membrane=up, spike_time=t), y).loss
                 - hybrid_loss(OutputState(membrane=um, spike_time=t), y).loss
             ) / (2 * eps)
-            rel = abs(numeric - res.grad_u[i]) / max(abs(numeric), abs(res.grad_u[i]), 1e-8)
+            rel = abs(numeric - res.grad_u[0, i]) / max(abs(numeric), abs(res.grad_u[0, i]), 1e-8)
             assert rel < 1e-4
             worst = max(worst, rel)
             probes += 1
@@ -164,7 +168,7 @@ class TestCriterion5ConversionFidelity:
     def test_ann_and_converted_accuracy(self, desk_spec, desk_ann, desk_thresholds, desk_dataset, desk_calibration_config):
         ann_acc = desk_ann["accuracy"]
         unscaled = ann.convert(
-            desk_ann["params"],
+            desk_ann["weights"],
             desk_thresholds,
             CalibrationConfig(**{**vars(desk_calibration_config), "scaling": 1.0}),
         )
@@ -223,8 +227,9 @@ class TestCriterion8EnergyModel:
         sample = desk_dataset.test_images[:16]
         enc = desk_encode_hybrid(sample)
         counters = ActivityCounters(desk_spec)
-        _, trace = forward(desk_spec, desk_finetuned["params"], enc, mode="infer",
-                           counters=counters, with_trace=True)
+        # Inference skips dropout, so a train pass of the stack without it is the infer pass, traced.
+        no_dropout = dataclasses.replace(desk_spec, layers=[l for l in desk_spec.layers if not isinstance(l, Dropout)])
+        _, trace = forward(no_dropout, desk_finetuned["params"], enc, mode=TRAIN, counters=counters)
         rep = energy(desk_spec, counters, HYBRID, costs)
         oracle = count_events_bruteforce(desk_spec, trace, HYBRID)
         for row, events in zip(rep.layers, oracle):

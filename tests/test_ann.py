@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from snnkit import ann, numerics
 from snnkit.ann import (
-    AnnParams,
     CalibrationConfig,
     ann_accuracy,
     ann_backward,
@@ -50,7 +49,7 @@ def strided_dropout_spec():
 def finite_difference_checks(spec):
     """Central differences against ann_backward on random weight entries; returns how many were compared."""
     rng = numerics.make_rng(1)
-    weights = [w.astype(np.float64) for w in init_ann(spec, rng).weights]
+    weights = [w.astype(np.float64) for w in init_ann(spec, rng)]
     x = rng.normal(size=(3,) + spec.input_shape)
     labels = np.array([0, 2, 3])
 
@@ -97,8 +96,8 @@ class TestAnnTraining:
         labels = np.arange(n) % 2
         images = rng.normal(0, 0.2, size=(n, 2)).astype(np.float32)
         images[:, 0] += np.where(labels == 0, 1.0, -1.0)
-        params, _ = ann_train(spec, images, labels, epochs=50, rng=rng, batch_size=16)
-        assert ann_accuracy(spec, params, images, labels) == 100.0
+        weights, _ = ann_train(spec, images, labels, epochs=50, rng=rng, batch_size=16)
+        assert ann_accuracy(spec, weights, images, labels) == 100.0
 
     def test_gradients_match_finite_differences(self):
         # the second spec runs the dropout adjoint, a stride and padding
@@ -126,9 +125,9 @@ class TestAnnTraining:
         assert lr(18) == pytest.approx(0.01 * 0.1**3)
 
     def test_no_bias_anywhere(self):
-        params = init_ann(tiny_spec(), numerics.make_rng(0))
+        weights = init_ann(tiny_spec(), numerics.make_rng(0))
         # one tensor per weighted layer and nothing else
-        assert len(params.weights) == 3
+        assert len(weights) == 3
 
 
 class TestPercentile:
@@ -168,59 +167,59 @@ class TestCalibration:
     def test_percentile_100_reduces_to_max_rule(self):
         rng = numerics.make_rng(6)
         spec = tiny_spec()
-        params = AnnParams(weights=init_ann(spec, rng).weights)
+        weights = init_ann(spec, rng)
         images = rng.random((8, 1, 6, 6)).astype(np.float32)
         cfg_max = CalibrationConfig(percentile=100.0, num_images=8, calib_timesteps=4)
-        got = calibrate_thresholds(params, spec, images, cfg_max)
+        got = calibrate_thresholds(weights, spec, images, cfg_max)
         # layer 1 sees the same analog current every timestep: its threshold
         # must equal the maximum input current anywhere
         from snnkit.numerics import conv2d
 
-        currents = conv2d(images, params.weights[0])
+        currents = conv2d(images, weights[0])
         assert got[0] == pytest.approx(float(currents.max()), rel=1e-6)
 
     def test_zero_first_layer_is_a_calibration_error(self):
         rng = numerics.make_rng(7)
         spec = tiny_spec()
-        weights = init_ann(spec, rng).weights
+        weights = init_ann(spec, rng)
         weights[0] = np.zeros_like(weights[0])
         images = rng.random((4, 1, 6, 6)).astype(np.float32)
         with pytest.raises(CalibrationError):
-            calibrate_thresholds(AnnParams(weights=weights), spec, images, CalibrationConfig(num_images=4, calib_timesteps=3))
+            calibrate_thresholds(weights, spec, images, CalibrationConfig(num_images=4, calib_timesteps=3))
 
     def test_reproducible_for_same_inputs(self):
         rng = numerics.make_rng(9)
         spec = tiny_spec()
-        params = AnnParams(weights=init_ann(spec, rng).weights)
+        weights = init_ann(spec, rng)
         images = rng.random((6, 1, 6, 6)).astype(np.float32)
         cfg = CalibrationConfig(num_images=6, calib_timesteps=5)
-        assert calibrate_thresholds(params, spec, images, cfg) == calibrate_thresholds(params, spec, images, cfg)
+        assert calibrate_thresholds(weights, spec, images, cfg) == calibrate_thresholds(weights, spec, images, cfg)
 
 
 class TestConvert:
     def _thresholds(self):
         return [2.5, 1.0]
 
-    def _params(self):
+    def _weights(self):
         rng = numerics.make_rng(10)
-        return AnnParams(weights=[rng.normal(size=(3, 4)).astype(np.float32), rng.normal(size=(2, 3)).astype(np.float32)])
+        return [rng.normal(size=(3, 4)).astype(np.float32), rng.normal(size=(2, 3)).astype(np.float32)]
 
     def test_identity_scaling(self):
-        out = convert(self._params(), self._thresholds(), CalibrationConfig(scaling=1.0))
+        out = convert(self._weights(), self._thresholds(), CalibrationConfig(scaling=1.0))
         assert out[0].threshold == pytest.approx(2.5)
 
     def test_default_scaling_arithmetic(self):
-        out = convert(self._params(), self._thresholds(), CalibrationConfig(scaling=0.4))
+        out = convert(self._weights(), self._thresholds(), CalibrationConfig(scaling=0.4))
         assert out[0].threshold == pytest.approx(1.0)
 
     def test_weights_copied_bit_exactly_and_leak_unity(self):
-        params = self._params()
-        out = convert(params, self._thresholds(), CalibrationConfig())
-        for p, w in zip(out, params.weights):
+        weights = self._weights()
+        out = convert(weights, self._thresholds(), CalibrationConfig())
+        for p, w in zip(out, weights):
             assert p.weights.tobytes() == w.tobytes()
             assert p.weights is not w
             assert p.leak == 1.0
 
     def test_threshold_count_mismatch(self):
         with pytest.raises(ConfigurationError):
-            convert(self._params(), [1.0], CalibrationConfig())
+            convert(self._weights(), [1.0], CalibrationConfig())

@@ -67,7 +67,7 @@ def test_layer_major_calibration_matches_reference(dtype, percentile):
     images = rng.random((IMAGES,) + spec.input_shape).astype(dtype)
     cfg = ann.CalibrationConfig(percentile=percentile, num_images=IMAGES, calib_timesteps=STEPS)
 
-    got = ann.calibrate_thresholds(ann.AnnParams(weights), spec, images, cfg)
+    got = ann.calibrate_thresholds(weights, spec, images, cfg)
     want, spikes = reference_thresholds(weights, spec, images, percentile, STEPS)
 
     assert spikes > 0, "the lower layers must spike"

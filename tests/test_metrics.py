@@ -12,6 +12,7 @@ from snnkit.network import (
     AvgPool,
     Conv,
     FullyConnected,
+    TRAIN,
     NetworkSpec,
     forward,
 )
@@ -114,7 +115,7 @@ class TestEnergy:
         else:
             enc = encode_direct(images, 4)
         counters = ActivityCounters(spec)
-        _, trace = forward(spec, params, enc, mode="infer", counters=counters, with_trace=True)
+        _, trace = forward(spec, params, enc, mode=TRAIN, counters=counters)  # no dropout: the infer pass, traced
         return spec, counters, trace
 
     def test_mac_to_ac_ratio_is_32(self):

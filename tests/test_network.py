@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snnkit import network, numerics, training
-from snnkit.encoding import IntensityRange, encode_direct, encode_hybrid
+from snnkit.encoding import IntensityRange, encode_direct, encode_hybrid, encode_poisson_rate
 from snnkit.errors import ConfigurationError, ContractViolation
 from snnkit.network import (
     INFER,
@@ -92,7 +92,7 @@ class TestForward:
     def test_zero_weights_forced_fire(self):
         spec = fc_spec()
         params = [LayerParams(np.zeros(s, np.float32), 1.0, 1.0) for s in spec.weight_shapes()]
-        enc = encode_hybrid(np.array([0.2, 0.9, 0.5, 0.1], np.float32), UNIT, 4)
+        enc = encode_hybrid(np.array([[0.2, 0.9, 0.5, 0.1]], np.float32), UNIT, 4)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=numerics.make_rng(0))
         assert (out.membrane == 0).all()
         assert (out.spike_time == 4).all()
@@ -103,11 +103,11 @@ class TestForward:
         rng = numerics.make_rng(1)
         spec = fc_spec(t=5)
         params = fc_params(spec, rng)
-        image = np.full(4, 1.0, dtype=np.float32)
+        image = np.full((1, 4), 1.0, dtype=np.float32)
         enc = encode_hybrid(image, UNIT, 5)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=rng)
-        np.testing.assert_array_equal(trace.layer_inputs[0][0][0], image)  # t=1 analog frame
-        np.testing.assert_array_equal(trace.layer_inputs[0][1][0], np.ones(4))  # raster at t=2
+        np.testing.assert_array_equal(trace.layer_inputs[0][0], image)  # t=1 analog frame
+        np.testing.assert_array_equal(trace.layer_inputs[0][1], np.ones((1, 4)))  # raster at t=2
         for t in range(2, 5):
             assert not trace.layer_inputs[0][t].any()
 
@@ -116,7 +116,7 @@ class TestForward:
         rng = numerics.make_rng(7)
         spec = fc_spec(t=5, hidden=4, inputs=3, classes=2)
         params = fc_params(spec, rng, scale=1.0)
-        image = rng.random(3).astype(np.float32)
+        image = rng.random((1, 3)).astype(np.float32)
         enc = encode_hybrid(image, UNIT, 5)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=rng)
 
@@ -130,7 +130,7 @@ class TestForward:
         out_u = np.zeros(2)
         spike_t = np.zeros(2, int)
         for t in range(1, 6):
-            x = np.asarray(enc.input_at(t), dtype=np.float64)
+            x = np.asarray(enc.input_at(t)[0], dtype=np.float64)
             cur1 = np.array([sum(w1[j, i] * x[i] for i in range(3)) for j in range(4)])
             gate = z1 > 0
             u1 = l1 * u1 + cur1 - v1 * gate
@@ -153,7 +153,7 @@ class TestForward:
         rng = numerics.make_rng(3)
         spec = fc_spec(t=6, hidden=8, inputs=5, classes=3)
         params = fc_params(spec, rng)
-        enc = encode_hybrid(rng.random(5).astype(np.float32), UNIT, 6)
+        enc = encode_hybrid(rng.random((1, 5)).astype(np.float32), UNIT, 6)
         out_train, _ = forward(spec, params, enc, mode=TRAIN, rng=rng)
         out_infer, _ = forward(spec, params, enc, mode=INFER)
         np.testing.assert_array_equal(out_train.spike_time, out_infer.spike_time)
@@ -163,7 +163,7 @@ class TestForward:
         rng = numerics.make_rng(9)
         spec = fc_spec(t=4)
         params = fc_params(spec, rng)
-        enc = encode_hybrid(rng.random(4).astype(np.float32), UNIT, 4)
+        enc = encode_hybrid(rng.random((1, 4)).astype(np.float32), UNIT, 4)
         runs = []
         for _ in range(2):
             out, trace = forward(spec, params, enc, mode=TRAIN, rng=numerics.make_rng(5))
@@ -190,7 +190,7 @@ class TestForward:
             LayerParams(np.full(s, 1.2, np.float32), 1.0, 1.0) for s in spec.weight_shapes()
         ]
         counters = ActivityCounters(spec).track_per_neuron()
-        enc = encode_direct(np.array([1.0, 1.0], np.float32), 5)
+        enc = encode_direct(np.array([[1.0, 1.0]], np.float32), 5)
         forward(spec, params, enc, mode=INFER, neuron_model=MULTI_SPIKE, counters=counters)
         assert counters.per_neuron_spikes[0].max() > 1
 
@@ -198,16 +198,33 @@ class TestForward:
         spec = fc_spec()
         params = [LayerParams(np.zeros((3, 5), np.float32), 1.0, 1.0),
                   LayerParams(np.zeros((2, 3), np.float32), 1.0, 1.0)]
-        enc = encode_hybrid(np.zeros(4, np.float32), UNIT, 4)
-        with pytest.raises(ConfigurationError):
+        enc = encode_hybrid(np.zeros((1, 4), np.float32), UNIT, 4)
+        with pytest.raises(ConfigurationError, match="weight shapes"):
             forward(spec, params, enc)
 
     def test_wrong_timestep_count(self):
         spec = fc_spec(t=4)
         params = fc_params(spec, numerics.make_rng(0))
-        enc = encode_hybrid(np.zeros(4, np.float32), UNIT, 6)
-        with pytest.raises(ConfigurationError):
+        enc = encode_hybrid(np.zeros((1, 4), np.float32), UNIT, 6)
+        with pytest.raises(ConfigurationError, match="T=6"):
             forward(spec, params, enc)
+
+    @pytest.mark.parametrize(
+        "encode",
+        [
+            lambda x: encode_hybrid(x, UNIT, 4),
+            lambda x: encode_direct(x, 4),
+            lambda x: encode_poisson_rate(x, 4, numerics.make_rng(0)),
+        ],
+        ids=["hybrid", "direct", "rate"],
+    )
+    def test_only_a_batch_is_accepted(self, encode):
+        spec = fc_spec()
+        params = fc_params(spec, numerics.make_rng(0))
+        with pytest.raises(ConfigurationError, match="not a batch"):
+            forward(spec, params, encode(np.full(4, 0.5, np.float32)))
+        out, _ = forward(spec, params, encode(np.full((1, 4), 0.5, np.float32)))
+        assert out.membrane.shape == (1, 2)
 
 
 class TestDropout:
@@ -223,7 +240,7 @@ class TestDropout:
         rng = numerics.make_rng(0)
         spec = self.spec()
         params = fc_params(spec, rng)
-        enc = encode_hybrid(rng.random(4).astype(np.float32), UNIT, 4)
+        enc = encode_hybrid(rng.random((1, 4)).astype(np.float32), UNIT, 4)
         a, _ = forward(spec, params, enc, mode=INFER)
         b, _ = forward(spec, params, enc, mode=INFER)
         np.testing.assert_array_equal(a.membrane, b.membrane)
@@ -234,7 +251,7 @@ class TestDropout:
         params = [
             LayerParams(np.full(s, 0.9, np.float32), 10.0, 1.0) for s in spec.weight_shapes()
         ]
-        enc = encode_direct(np.ones(4, np.float32), 4)
+        enc = encode_direct(np.ones((1, 4), np.float32), 4)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=rng)
         mask = trace.dropout_masks[1]
         assert mask is not None and set(np.unique(mask)) <= {0.0, 1.0}
@@ -246,8 +263,8 @@ class TestDropout:
     def test_train_mode_requires_rng(self):
         spec = self.spec()
         params = fc_params(spec, numerics.make_rng(0))
-        enc = encode_direct(np.ones(4, np.float32), 4)
-        with pytest.raises(ConfigurationError):
+        enc = encode_direct(np.ones((1, 4), np.float32), 4)
+        with pytest.raises(ConfigurationError, match="needs an RNG"):
             forward(spec, params, enc, mode=TRAIN, rng=None)
 
 
@@ -424,7 +441,7 @@ class TestTraceStorage:
 
     T = 4
 
-    def run(self, mode, with_trace=None, neuron_model=SINGLE_SPIKE):
+    def run(self, mode, neuron_model=SINGLE_SPIKE):
         spec = NetworkSpec(
             layers=(Conv(3, 3), AvgPool(2), Conv(4, 3), FullyConnected(2)),
             input_shape=(1, 10, 10),
@@ -434,7 +451,7 @@ class TestTraceStorage:
         rng = numerics.make_rng(8)
         params = [LayerParams(rng.normal(0.2, 0.6, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
         enc = encode_hybrid(rng.random((3,) + spec.input_shape).astype(np.float32), UNIT, self.T)
-        _, trace = forward(spec, params, enc, mode=mode, rng=rng, neuron_model=neuron_model, with_trace=with_trace)
+        _, trace = forward(spec, params, enc, mode=mode, rng=rng, neuron_model=neuron_model)
         return spec, trace
 
     @pytest.mark.parametrize("neuron_model", [SINGLE_SPIKE, MULTI_SPIKE])
@@ -442,7 +459,7 @@ class TestTraceStorage:
         spec, trace = self.run(TRAIN, neuron_model=neuron_model)
         hidden = spec.stages[:-1]
         assert set(vars(trace)) == {
-            "spec", "mode", "neuron_model", "thresholds", "layer_inputs", "membranes", "output_membranes", "dropout_masks",
+            "spec", "neuron_model", "thresholds", "layer_inputs", "membranes", "output_membranes", "dropout_masks",
         }
         assert len(trace.membranes) == len(hidden) == 2 and all(type(v) is float for v in trace.thresholds)
         for stage, layer in zip(hidden, trace.membranes):
@@ -456,11 +473,8 @@ class TestTraceStorage:
         arrays += [m for m in trace.dropout_masks if m is not None]
         assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1 :])
 
-    def test_infer_trace_records_a_distinct_membrane_per_step(self):
-        spec, trace = self.run(INFER, with_trace=True)
-        for stage, layer in zip(spec.stages, trace.membranes):
-            assert layer.shape == (self.T, 3) + stage.out_shape and layer.strides[0] == layer[0].nbytes
-            assert all((a != b).any() for a, b in zip(layer, layer[1:]))
+    def test_an_infer_pass_keeps_no_trace(self):
+        assert self.run(INFER)[1] is None
 
 
 class TestReadout:

