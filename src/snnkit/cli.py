@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .config import ExperimentConfig
 from .errors import SnnkitError
-from .pipeline import Experiment, emit_report
+from .pipeline import REPORT_FILE, Experiment, emit_report, load_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +81,8 @@ def main(argv=None) -> int:
             acc = exp.eval(model_file=args.model or "snn.model")
             print(json.dumps({"accuracy": acc}))
         elif args.command == "profile":
+            if os.path.exists(os.path.join(cfg.out_dir, REPORT_FILE)):
+                exp.report = load_report(cfg.out_dir)  # a run's report keeps all but its energy
             report = exp.profile(model_file=args.model or "snn.model")
             emit_report(exp.report, cfg.out_dir)
             print(

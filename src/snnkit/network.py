@@ -20,6 +20,7 @@ first step.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -283,22 +284,20 @@ class ActivityCounters:
     ``accumulate_events[l]`` counts weight accumulations actually triggered at
     weighted layer l: one per nonzero input element read, times that layer's
     per-read fan-out (output channels for conv, output units for fc). The
-    first layer's analog steps are not counted: the energy model charges the
-    analog frame as one dense MAC pass.
+    reads are counted on the operand itself (``unfolded_nonzeros``), never on
+    its im2col columns. The first layer's analog steps are not counted: the
+    energy model charges the analog frame as one dense MAC pass.
     """
 
     spec: NetworkSpec
     samples: int = 0
-    output_spikes: list = field(default_factory=list)        # per hidden weighted layer
-    accumulate_events: list = field(default_factory=list)    # per weighted layer
+    output_spikes: list = field(init=False)        # per hidden weighted layer
+    accumulate_events: list = field(init=False)    # per weighted layer
     per_neuron_spikes: list | None = None
 
     def __post_init__(self):
-        n_weighted = len(self.spec.stages)
-        if not self.output_spikes:
-            self.output_spikes = [0] * (n_weighted - 1)
-        if not self.accumulate_events:
-            self.accumulate_events = [0] * n_weighted
+        self.output_spikes = [0] * (len(self.spec.stages) - 1)
+        self.accumulate_events = [0] * len(self.spec.stages)
 
     def track_per_neuron(self):
         self.per_neuron_spikes = [np.zeros((0,) + s.out_shape, dtype=np.int32) for s in self.spec.stages[:-1]]
@@ -372,6 +371,28 @@ def unfold(stage: Stage, x):
     if isinstance(layer, Conv):
         return numerics.im2col(x, layer.kernel, layer.stride, layer.padding)
     return x.reshape(len(x), -1)
+
+
+@functools.cache
+def _column_counts(stage: Stage) -> np.ndarray:
+    """How many im2col columns each position of a conv stage's (H, W) operand map appears in, flattened."""
+    layer, (_, h, w) = stage.layer, stage.operand_shape
+    ones = np.ones((1, layer.kernel**2, math.prod(stage.out_shape[1:])), dtype=np.int64)
+    counts = numerics.col2im(ones, (1, 1, h, w), layer.kernel, layer.stride, layer.padding).ravel()
+    counts.flags.writeable = False  # shared by every caller through the cache
+    return counts
+
+
+def unfolded_nonzeros(stage: Stage, x) -> int:
+    """``np.count_nonzero(unfold(stage, x))``, counted on ``x`` without unfolding it.
+
+    A conv's columns copy each input entry once per column it appears in, a fixed (H, W) map of
+    counts, and read zeros from the padding; an fc layer's operand is only flattened.
+    """
+    if isinstance(stage.layer, Conv):
+        counts = _column_counts(stage)
+        return int((x != 0).reshape(-1, counts.size).sum(0) @ counts)
+    return int(np.count_nonzero(x))
 
 
 def current(stage: Stage, weights, unfolded):
@@ -453,6 +474,9 @@ def forward(
     batch: a conv current is a per-sample batched matmul, pooling, dropout
     and neuron steps are elementwise, counters are integer sums, and the fc
     GEMMs keep their row count.
+
+    ``counters`` count each step's accumulate events on the operand before it
+    is unfolded (``unfolded_nonzeros``), and hidden spikes on an integer view.
     """
     check_params(spec, params)
     if encoded.total_timesteps != spec.total_timesteps:
@@ -522,11 +546,9 @@ def forward(
                         x = apply_pre(stage, x, rows_masks)
                         if train:
                             trace.layer_inputs[i][t - 1, rows] = x
-                    cols = unfold(stage, x)
-                    drive = current(stage, p.weights, cols)
                     if counters is not None and (i or t not in analog_steps):
-                        counters.accumulate_events[i] += int(np.count_nonzero(cols)) * p.weights.shape[0]
-                    del cols  # a conv's columns are the step's largest array; free them before the neuron step
+                        counters.accumulate_events[i] += unfolded_nonzeros(stage, x) * p.weights.shape[0]
+                    drive = current(stage, p.weights, unfold(stage, x))
                     if i == 0 and repeats:
                         held = drive
 
@@ -547,7 +569,8 @@ def forward(
                     out = state if t > 1 else None
                 states[i], spikes = step(state, p, drive, out=out)
                 if counters is not None:
-                    counters.output_spikes[i] += int(np.count_nonzero(spikes))
+                    # spikes are 0.0 or 1.0: their integer view is nonzero where they are, and counts faster
+                    counters.output_spikes[i] += int(np.count_nonzero(spikes.view(f"i{spikes.itemsize}")))
                     if tallies is not None:
                         tallies[i][rows] += spikes.astype(np.int32)
                 x = spikes

@@ -9,6 +9,8 @@ because both the ANN trainer and the spiking BPTT reuse them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericalError
@@ -36,33 +38,52 @@ def conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> i
     return span // stride + 1
 
 
+@functools.lru_cache(maxsize=None)
+def _windows(kernel: int, stride: int, padding: int, in_hw: tuple, out_hw: tuple) -> tuple:
+    """Per kernel offset: the part of its (B,C,k,k,Ho,Wo) columns whose taps fall inside the
+    unpadded input, the strided input window those taps read, and the parts that read padding."""
+
+    def valid(offset, extent, n):  # output o reads input offset - padding + stride * o
+        lo = min(n, max(0, -((offset - padding) // stride)))
+        hi = max(lo, min(n, (extent - 1 + padding - offset) // stride + 1))
+        start = offset - padding + stride * lo
+        return lo, hi, slice(start, start + stride * (hi - lo), stride)
+
+    (ho, wo), every, out = out_hw, slice(None), []
+    for ky in range(kernel):
+        y0, y1, in_y = valid(ky, in_hw[0], ho)
+        for kx in range(kernel):
+            x0, x1, in_x = valid(kx, in_hw[1], wo)
+            at = (every, every, ky, kx)
+            parts = ((0, y0, 0, wo), (y1, ho, 0, wo), (y0, y1, 0, x0), (y0, y1, x1, wo))
+            borders = tuple(at + (slice(a, b), slice(c, d)) for a, b, c, d in parts if a < b and c < d)
+            out.append((at + (slice(y0, y1), slice(x0, x1)), (every, every, in_y, in_x), borders))
+    return tuple(out)
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold (B,C,H,W) into patch columns of shape (B, C*k*k, Ho*Wo)."""
+    """Unfold (B,C,H,W) into patch columns of shape (B, C*k*k, Ho*Wo), with no padded copy of ``x``."""
     b, c, h, w = x.shape
     ho = conv_output_extent(h, kernel, stride, padding)
     wo = conv_output_extent(w, kernel, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((b, c, kernel, kernel, ho, wo), dtype=x.dtype)
-    for ky in range(kernel):
-        for kx in range(kernel):
-            cols[:, :, ky, kx] = x[:, :, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride]
+    for window, source, borders in _windows(kernel, stride, padding, (h, w), (ho, wo)):
+        for border in borders:
+            cols[border] = 0
+        cols[window] = x[source]
     return cols.reshape(b, c * kernel * kernel, ho * wo)
 
 
 def col2im(cols: np.ndarray, in_shape, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Scatter-add patch columns back onto the (B,C,H,W) input grid."""
+    """Scatter-add patch columns back onto the (B,C,H,W) input grid; taps on the padding are dropped."""
     b, c, h, w = in_shape
     ho = conv_output_extent(h, kernel, stride, padding)
     wo = conv_output_extent(w, kernel, stride, padding)
-    padded = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    out = np.zeros((b, c, h, w), dtype=cols.dtype)
     cols = cols.reshape(b, c, kernel, kernel, ho, wo)
-    for ky in range(kernel):
-        for kx in range(kernel):
-            padded[:, :, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride] += cols[:, :, ky, kx]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    for window, source, _ in _windows(kernel, stride, padding, (h, w), (ho, wo)):
+        out[source] += cols[window]
+    return out
 
 
 def conv_from_cols(weights: np.ndarray, cols: np.ndarray, out_hw) -> np.ndarray:

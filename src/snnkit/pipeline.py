@@ -117,6 +117,7 @@ class Experiment:
         self.ann_weights = None
         self.thresholds = None
         self.snn_params = None
+        self._scores = {}  # model file -> (accuracy, counters), see _score
 
     def _path(self, name: str) -> str:
         return os.path.join(self.cfg.out_dir, name)
@@ -149,10 +150,7 @@ class Experiment:
             self.report.ann_loss_curve = history["loss"]
             images, labels = _eval_slice(cfg, self.dataset.test_images, self.dataset.test_labels)
             self.report.accuracy_ann = ann_mod.ann_accuracy(cfg.network, weights, images, labels)
-            modelio.save_params(
-                self._path(ANN_MODEL),
-                [LayerParams(w, 1.0, 1.0) for w in weights],
-            )
+            self._save_model(ANN_MODEL, [LayerParams(w, 1.0, 1.0) for w in weights])
             return weights
 
         return self._timed("train-ann", run)
@@ -226,10 +224,15 @@ class Experiment:
                 neuron_model=MULTI_SPIKE,
             )
             converted = ann_mod.convert(ann_weights, thresholds, cfg.calibration)
-            modelio.save_params(self._path(CONVERTED_MODEL), converted)
+            self._save_model(CONVERTED_MODEL, converted)
             return converted
 
         return self._timed("convert", run)
+
+    def _save_model(self, name, params):
+        """Write a model file and drop the counted pass kept for the model it replaces."""
+        modelio.save_params(self._path(name), params)
+        self._scores.pop(name, None)
 
     def _load_model(self, name):
         """Load a model file; weights shaped for another network are an ingestion error."""
@@ -265,31 +268,40 @@ class Experiment:
             self.snn_params = params
             self.report.snn_loss_curve = history["loss"]
             self.report.snn_accuracy_curve = history["accuracy"]
-            modelio.save_params(self._path(SNN_MODEL), params)
+            self._save_model(SNN_MODEL, params)
             return params
 
         return self._timed("train-snn", run)
 
-    def _infer(self, model_file: str, counters: ActivityCounters | None) -> float:
-        """Accuracy of a saved model (the fine-tuned one if still in memory) on the eval slice."""
-        cfg = self.cfg
-        params = self.snn_params if (self.snn_params and model_file == SNN_MODEL) else self._load_model(model_file)
-        encode = make_encoder(cfg, self.dataset, rng=np.random.default_rng(cfg.seed))
-        images, labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
-        return evaluate(cfg.network, params, images, labels, encode, neuron_model=cfg.neuron_model, counters=counters)
+    def _score(self, model_file: str):
+        """(accuracy, counters) of a model's counted pass over the eval slice, run once per model file.
+
+        The fine-tuned model still in memory stands for ``snn.model``; ``_save_model`` drops a kept pass.
+        """
+        if model_file not in self._scores:
+            cfg = self.cfg
+            params = self.snn_params if (self.snn_params and model_file == SNN_MODEL) else self._load_model(model_file)
+            encode = make_encoder(cfg, self.dataset, rng=np.random.default_rng(cfg.seed))
+            images, labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
+            counters = ActivityCounters(cfg.network)
+            accuracy = evaluate(cfg.network, params, images, labels, encode, neuron_model=cfg.neuron_model, counters=counters)
+            self._scores[model_file] = accuracy, counters
+        return self._scores[model_file]
 
     def eval(self, model_file: str = SNN_MODEL):
+        """Set ``accuracy_finetuned`` from the model's counted pass, running it unless ``profile`` did."""
+
         def run():
-            self.report.accuracy_finetuned = self._infer(model_file, None)
+            self.report.accuracy_finetuned = self._score(model_file)[0]
             return self.report.accuracy_finetuned
 
         return self._timed("eval", run)
 
     def profile(self, model_file: str = SNN_MODEL):
+        """Set ``energy`` from the counters of the pass ``eval`` reads; in ``run_all`` it has already run."""
+
         def run():
-            counters = ActivityCounters(self.cfg.network)
-            self._infer(model_file, counters)
-            self.report.energy = energy(self.cfg.network, counters, self.cfg.encoder, EnergyCosts())
+            self.report.energy = energy(self.cfg.network, self._score(model_file)[1], self.cfg.encoder, EnergyCosts())
             return self.report.energy
 
         return self._timed("profile", run)
@@ -360,5 +372,10 @@ def emit_report(report: RunReport, out_dir) -> dict:
 
 
 def load_report(out_dir) -> RunReport:
-    with open(os.path.join(out_dir, REPORT_FILE)) as fh:
-        return RunReport.from_dict(json.load(fh))
+    """Read back a run's report.json; an unreadable file is an IngestionError naming it."""
+    path = os.path.join(out_dir, REPORT_FILE)
+    try:
+        with open(path) as fh:
+            return RunReport.from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IngestionError(f"{path}: unreadable report: {exc!r}") from exc

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -240,6 +241,90 @@ class TestEvalOnly:
         cfg_path = write_config(root, tiny_config(root, paths, "out_missing"), "missing.json")
         assert cli.main(["eval", "--config", cfg_path]) == 2
         assert "run the earlier phases" in capsys.readouterr().err
+
+
+def count_evaluate_calls(monkeypatch):
+    """Spy on the evaluate pass the pipeline runs; returns the list of counters each call filled."""
+    calls = []
+    evaluate = pipeline.evaluate
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("counters"))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "evaluate", spy)
+    return calls
+
+
+class TestOneCountedPass:
+    """eval and profile read one counted inference pass over the eval slice."""
+
+    def test_run_all_scores_the_fine_tuned_model_once(self, tiny_root, monkeypatch):
+        root, paths = tiny_root
+        calls = count_evaluate_calls(monkeypatch)
+        report = pipeline.Experiment(tiny_config(root, paths, "out_one_pass")).run_all()
+        # convert's fidelity pass, then the one counted pass both eval and profile read
+        assert len(calls) == 2 and calls[0] is None and calls[1] is not None
+        assert calls[1].samples == 60
+        assert report.accuracy_finetuned is not None and report.energy is not None
+
+    @pytest.mark.parametrize("command", ["eval", "profile"])
+    def test_each_command_alone_runs_the_pass_once(self, small_conv_run, monkeypatch, capsys, command):
+        root, _, cfg = small_conv_run
+        calls = count_evaluate_calls(monkeypatch)
+        assert cli.main([command, "--config", str(root / "small_conv.json")]) == 0
+        assert len(calls) == 1 and calls[0] is not None
+        printed = json.loads(capsys.readouterr().out)
+        report = pipeline.load_report(cfg.out_dir)
+        if command == "eval":
+            assert printed == {"accuracy": report.accuracy_finetuned}
+        else:
+            assert printed == {"e_ann_pj": report.energy.e_ann_pj, "e_snn_pj": report.energy.e_snn_pj, "ratio": report.energy.ratio}
+
+    def test_a_new_fine_tuned_model_is_scored_again(self, tiny_root, monkeypatch):
+        root, paths = tiny_root
+        exp = pipeline.Experiment(tiny_config(root, paths, "out_rescored"))
+        exp.run_all()
+        calls = count_evaluate_calls(monkeypatch)
+        exp.profile()
+        assert calls == []
+        exp.train_snn()
+        exp.eval()
+        exp.profile()
+        assert len(calls) == 1
+
+
+class TestProfileAfterRunAll:
+    """The profile command rewrites a run's energy and keeps the rest of its results."""
+
+    def test_keeps_the_run_results(self, tiny_root):
+        root, paths = tiny_root
+        cfg_path = write_config(root, tiny_config(root, paths, "out_profile_again"), "profile_again.json")
+        assert cli.main(["run-all", "--config", cfg_path]) == 0
+        out = root / "out_profile_again"
+        names = (pipeline.REPORT_FILE, pipeline.SPIKE_CSV, pipeline.ENERGY_CSV, pipeline.LOSS_CSV)
+        before = {name: (out / name).read_bytes() for name in names}
+        assert cli.main(["profile", "--config", cfg_path]) == 0
+        after = {name: (out / name).read_bytes() for name in names}
+        old, new = (json.loads(files.pop(pipeline.REPORT_FILE)) for files in (before, after))
+        assert after == before
+        assert new["wall_clock_s"].pop("profile") > 0
+        old["wall_clock_s"].pop("profile")
+        assert new == old
+        assert new["accuracy_finetuned"] is not None and new["snn_loss_curve"]
+
+    @pytest.mark.parametrize("content", ["{trunc", "[]", '{"seed": 7}', '{"config": {}, "seed": 7, "energy": {"layers": 3}}'])
+    def test_unreadable_report_is_ingestion_error(self, small_conv_run, tmp_path, capsys, content):
+        root, _, cfg = small_conv_run
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in (pipeline.SNN_MODEL,):
+            (out / name).write_bytes((root / "out_small_conv" / name).read_bytes())
+        (out / pipeline.REPORT_FILE).write_text(content)
+        cfg_path = write_config(tmp_path, dataclasses.replace(cfg, out_dir=str(out)))
+        assert cli.main(["profile", "--config", cfg_path]) == 3
+        assert str(out / pipeline.REPORT_FILE) in capsys.readouterr().err
+        assert (out / pipeline.REPORT_FILE).read_text() == content
 
 
 class TestExitCodes:

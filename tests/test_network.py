@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from snnkit import network, numerics, training
 from snnkit.encoding import IntensityRange, encode_direct, encode_hybrid, encode_poisson_rate
@@ -434,6 +435,42 @@ class TestBlockMajorPrefix:
             assert g.dtype == np.int32 and g.shape == (10,) + stage.out_shape
             assert self.same(g, w)
         assert any(w.any() for w in whole.per_neuron_spikes)
+
+
+class TestUnfoldedNonzeros:
+    """``unfolded_nonzeros`` counts what ``np.count_nonzero(unfold(stage, x))`` would, from ``x``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kernel=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        out_hw=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        negative_zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_counting_the_unfolded_operand(
+        self, kernel, stride, padding, out_hw, shape, density, negative_zeros, seed
+    ):
+        h, w = ((o - 1) * stride + kernel - 2 * padding for o in out_hw)
+        assume(h >= 1 and w >= 1)
+        spec = NetworkSpec(
+            layers=(Conv(2, kernel, stride, padding), FullyConnected(3)),
+            input_shape=(shape[1], h, w),
+            num_classes=3,
+            total_timesteps=2,
+        )
+        rng = np.random.default_rng(seed)
+        x = np.where(rng.random((shape[0],) + spec.input_shape) < density, rng.normal(size=(shape[0],) + spec.input_shape), 0.0)
+        if negative_zeros:
+            x[rng.random(x.shape) < 0.5] = -0.0
+        x = x.astype(np.float32)
+        conv, fc = spec.stages
+        assert network.unfolded_nonzeros(conv, x) == np.count_nonzero(network.unfold(conv, x))
+        y = np.where(rng.random((shape[0],) + fc.operand_shape) < density, np.float32(1.0), np.float32(-0.0))
+        assert network.unfolded_nonzeros(fc, y) == np.count_nonzero(network.unfold(fc, y))
 
 
 class TestTraceStorage:

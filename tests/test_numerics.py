@@ -229,6 +229,51 @@ class TestAvgPool:
             assert abs(analytic.flat[flat] - num) < 1e-6
 
 
+def im2col_reference(x, k, stride, padding):
+    """Unfold through an explicitly zero-padded copy of the input."""
+    b, c, h, w = x.shape
+    ho = numerics.conv_output_extent(h, k, stride, padding)
+    wo = numerics.conv_output_extent(w, k, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            cols[:, :, ky, kx] = xp[:, :, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride]
+    return cols.reshape(b, c * k * k, ho * wo)
+
+
+def col2im_reference(cols, shape, k, stride, padding):
+    """Scatter-add onto an explicitly zero-padded grid, then crop the padding."""
+    b, c, h, w = shape
+    ho = numerics.conv_output_extent(h, k, stride, padding)
+    wo = numerics.conv_output_extent(w, k, stride, padding)
+    padded = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(b, c, k, k, ho, wo)
+    for ky in range(k):
+        for kx in range(k):
+            padded[:, :, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride] += cols[:, :, ky, kx]
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
+class TestUnfoldWithoutPadding:
+    """im2col and col2im give the bits of the np.pad formulation they replace."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_padded_reference(self, rng, k, stride, padding):
+        for h, w in ((7, 9), (11, 11), (12, 8)):
+            if (h + 2 * padding - k) % stride or (w + 2 * padding - k) % stride:
+                continue
+            x = rng.standard_normal((3, 2, h, w)).astype(np.float32)
+            x[x > 1.0] = -0.0
+            got, want = numerics.im2col(x, k, stride, padding), im2col_reference(x, k, stride, padding)
+            assert same_bits(got, want)
+            cols = rng.standard_normal(want.shape).astype(np.float32)
+            got = numerics.col2im(cols, x.shape, k, stride, padding)
+            assert same_bits(got, col2im_reference(cols, x.shape, k, stride, padding))
+
+
 def test_rng_is_deterministic():
     a = numerics.make_rng(123).random(5)
     b = numerics.make_rng(123).random(5)
