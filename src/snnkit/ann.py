@@ -197,6 +197,8 @@ class _TopCollector:
     def add(self, chunk: np.ndarray):
         chunk = np.asarray(chunk, dtype=np.float32).ravel()
         self.seen += chunk.size
+        if self._top.size == self.keep:  # a value <= the kept minimum cannot enter; NaN still does
+            chunk = chunk[~(chunk <= self._top.min())]
         merged = np.concatenate([self._top, chunk])
         if merged.size > self.keep:
             merged = np.partition(merged, merged.size - self.keep)[-self.keep :]

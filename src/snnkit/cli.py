@@ -15,7 +15,7 @@ import os
 import sys
 
 from .config import ExperimentConfig
-from .errors import SnnkitError
+from .errors import ConfigurationError, SnnkitError
 from .pipeline import REPORT_FILE, Experiment, emit_report, load_report
 
 
@@ -45,6 +45,14 @@ def load_config(args) -> ExperimentConfig:
     if args.timesteps is not None:
         cfg.network = dataclasses.replace(cfg.network, total_timesteps=args.timesteps)
     return cfg
+
+
+def config_differences(saved, current, key="") -> list:
+    """Dotted keys at which two JSON config forms differ, apart from the output directory."""
+    if isinstance(saved, dict) and isinstance(current, dict):
+        keys = sorted((saved.keys() | current.keys()) - {"out_dir"})
+        return [d for k in keys for d in config_differences(saved.get(k), current.get(k), f"{key}{k}.")]
+    return [] if saved == current else [key[:-1] or "config"]
 
 
 def main(argv=None) -> int:
@@ -83,6 +91,9 @@ def main(argv=None) -> int:
         elif args.command == "profile":
             if os.path.exists(os.path.join(cfg.out_dir, REPORT_FILE)):
                 exp.report = load_report(cfg.out_dir)  # a run's report keeps all but its energy
+                differ = config_differences(exp.report.config, json.loads(json.dumps(cfg.to_dict())))
+                if differ:
+                    raise ConfigurationError(f"{REPORT_FILE} in {cfg.out_dir} records another {', '.join(differ)}; use a fresh --out")
             report = exp.profile(model_file=args.model or "snn.model")
             emit_report(exp.report, cfg.out_dir)
             print(

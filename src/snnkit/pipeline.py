@@ -247,13 +247,14 @@ class Experiment:
         return params
 
     def train_snn(self):
+        """Fine-tune the converted model, scoring each epoch by the counted pass; ``snn.model`` keeps its score."""
+
         def run():
             cfg = self.cfg
             params = self._load_model(CONVERTED_MODEL)
             rng = self.rngs["train-snn"]
             encode = make_encoder(cfg, self.dataset, rng=rng)
             images = encoder_inputs(cfg, self.dataset, "train")
-            eval_images, eval_labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
             params, history = training.train_snn(
                 cfg.network,
                 params,
@@ -263,33 +264,34 @@ class Experiment:
                 encode,
                 rng,
                 neuron_model=cfg.neuron_model,
-                eval_set=(eval_images, eval_labels),
+                score=self._count,
             )
             self.snn_params = params
             self.report.snn_loss_curve = history["loss"]
             self.report.snn_accuracy_curve = history["accuracy"]
             self._save_model(SNN_MODEL, params)
+            self._scores[SNN_MODEL] = history["score"]
             return params
 
         return self._timed("train-snn", run)
 
-    def _score(self, model_file: str):
-        """(accuracy, counters) of a model's counted pass over the eval slice, run once per model file.
+    def _count(self, params):
+        """(accuracy, counters) of the counted pass over the eval slice, encoded by a fresh seeded encoder."""
+        cfg = self.cfg
+        encode = make_encoder(cfg, self.dataset, rng=np.random.default_rng(cfg.seed))
+        images, labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
+        counters = ActivityCounters(cfg.network)
+        accuracy = evaluate(cfg.network, params, images, labels, encode, neuron_model=cfg.neuron_model, counters=counters)
+        return accuracy, counters
 
-        The fine-tuned model still in memory stands for ``snn.model``; ``_save_model`` drops a kept pass.
-        """
+    def _score(self, model_file: str):
+        """A model file's (accuracy, counters), counted once or kept by ``train_snn``; ``_save_model`` drops it."""
         if model_file not in self._scores:
-            cfg = self.cfg
-            params = self.snn_params if (self.snn_params and model_file == SNN_MODEL) else self._load_model(model_file)
-            encode = make_encoder(cfg, self.dataset, rng=np.random.default_rng(cfg.seed))
-            images, labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
-            counters = ActivityCounters(cfg.network)
-            accuracy = evaluate(cfg.network, params, images, labels, encode, neuron_model=cfg.neuron_model, counters=counters)
-            self._scores[model_file] = accuracy, counters
+            self._scores[model_file] = self._count(self._load_model(model_file))
         return self._scores[model_file]
 
     def eval(self, model_file: str = SNN_MODEL):
-        """Set ``accuracy_finetuned`` from the model's counted pass, running it unless ``profile`` did."""
+        """Set ``accuracy_finetuned`` from the model's score; in ``run_all`` ``train_snn`` has counted it."""
 
         def run():
             self.report.accuracy_finetuned = self._score(model_file)[0]
@@ -298,7 +300,7 @@ class Experiment:
         return self._timed("eval", run)
 
     def profile(self, model_file: str = SNN_MODEL):
-        """Set ``energy`` from the counters of the pass ``eval`` reads; in ``run_all`` it has already run."""
+        """Set ``energy`` from the counters of the score ``eval`` reads."""
 
         def run():
             self.report.energy = energy(self.cfg.network, self._score(model_file)[1], self.cfg.encoder, EnergyCosts())

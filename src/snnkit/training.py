@@ -277,18 +277,18 @@ def train_snn(
     encode,
     rng: np.random.Generator,
     neuron_model: str = SINGLE_SPIKE,
-    eval_set=None,
+    score=None,
 ):
     """Fine-tune converted parameters with the hybrid loss over T timesteps.
 
-    ``encode`` maps an image batch to a SpikeInputSequence. History records
-    the per-epoch mean train loss and, when an eval set is given, infer-mode
-    test accuracy after each epoch.
+    ``encode`` maps an image batch to a SpikeInputSequence. ``score`` maps
+    parameters to a tuple led by their test accuracy and runs after each
+    epoch. History keeps the mean train losses, the scored accuracies, and as
+    ``"score"`` the returned (last, or with ``keep_best`` best) epoch's score.
     """
     params = list(params)
     n = len(images)
-    history = {"loss": [], "accuracy": []}
-    best = (-1.0, params)
+    history = {"loss": [], "accuracy": [], "score": None}
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         losses = []
@@ -304,13 +304,13 @@ def train_snn(
             params = optimizer_step(params, grads, config, epoch)
             losses.append(loss.loss)
         history["loss"].append(float(np.mean(losses)))
-        if eval_set is not None:
-            acc = evaluate(spec, params, eval_set[0], eval_set[1], encode, neuron_model=neuron_model)
-            history["accuracy"].append(acc)
-            if acc > best[0]:
-                best = (acc, params)
-    if config.keep_best and eval_set is not None and best[0] >= 0:
-        params = best[1]
+        if score is not None:
+            scored = score(params)
+            history["accuracy"].append(scored[0])
+            if not (config.keep_best and history["score"] and scored[0] <= history["score"][0]):
+                history["score"], best = scored, params
+    if history["score"]:
+        params = best
     return params, history
 
 

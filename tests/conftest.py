@@ -99,6 +99,10 @@ def desk_train_config():
 
 def _finetune(spec, params, dataset, config, encode, neuron_model, label):
     print(f"[desk] fine-tuning ({label}) ...")
+
+    def score(ps):
+        return (network.evaluate(spec, ps, dataset.test_images, dataset.test_labels, encode, neuron_model=neuron_model),)
+
     params, history = training.train_snn(
         spec,
         params,
@@ -108,11 +112,9 @@ def _finetune(spec, params, dataset, config, encode, neuron_model, label):
         encode,
         numerics.make_rng(3),
         neuron_model=neuron_model,
-        eval_set=(dataset.test_images, dataset.test_labels),
+        score=score,
     )
-    acc = network.evaluate(
-        spec, params, dataset.test_images, dataset.test_labels, encode, neuron_model=neuron_model
-    )
+    acc = history["score"][0]  # the returned (best) epoch's accuracy
     print(f"[desk] {label}: final accuracy {acc:.2f}%, best epoch {max(history['accuracy']):.2f}%")
     return {"params": params, "accuracy": acc, "history": history}
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from snnkit import ann, numerics
 from snnkit.ann import (
@@ -27,6 +27,18 @@ def tiny_spec():
         num_classes=4,
         total_timesteps=2,
     )
+
+
+class UnfilteredCollector(ann._TopCollector):
+    """The collector without its skip of incoming values at or below the kept minimum."""
+
+    def add(self, chunk):
+        chunk = np.asarray(chunk, dtype=np.float32).ravel()
+        self.seen += chunk.size
+        merged = np.concatenate([self._top, chunk])
+        if merged.size > self.keep:
+            merged = np.partition(merged, merged.size - self.keep)[-self.keep :]
+        self._top = merged
 
 
 def strided_dropout_spec():
@@ -161,6 +173,29 @@ class TestPercentile:
         for chunk in np.array_split(values, 37):
             collector.add(chunk)
         assert collector.result() == pytest.approx(percentile_nearest_rank(values, 99.7))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0]), max_size=12), min_size=1, max_size=10),
+        st.sampled_from([0.0, 50.0, 90.0, 99.7, 100.0]),
+    )
+    def test_skipping_values_below_the_kept_minimum_changes_nothing(self, chunks, p):
+        # few distinct values, so ties with the kept minimum are common
+        chunks = [np.array(c, dtype=np.float32) for c in chunks]
+        values = np.concatenate(chunks)
+        assume(values.size)
+        filtered, unfiltered = ann._TopCollector(values.size, p), UnfilteredCollector(values.size, p)
+        for chunk in chunks:
+            filtered.add(chunk)
+            unfiltered.add(chunk)
+            assert np.array_equal(np.sort(filtered._top), np.sort(unfiltered._top))
+        assert filtered.result() == unfiltered.result() == percentile_nearest_rank(values, p)
+
+    def test_nan_after_the_collector_is_full_is_kept(self):
+        collector = ann._TopCollector(10, 90.0)  # keeps the top 2
+        collector.add(np.arange(8, dtype=np.float32))
+        collector.add(np.array([np.nan, 0.5], dtype=np.float32))
+        assert np.isnan(collector.result())
 
 
 class TestCalibration:

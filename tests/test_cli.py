@@ -13,7 +13,7 @@ from snnkit import cli, data, modelio, pipeline
 from snnkit.ann import AnnTrainConfig, CalibrationConfig
 from snnkit.config import DatasetConfig, ExperimentConfig, RunReport
 from snnkit.errors import ConfigurationError, EmissionError
-from snnkit.metrics import energy_ratio
+from snnkit.metrics import energy, energy_ratio
 from snnkit.network import AvgPool, Conv, FullyConnected, NetworkSpec
 from snnkit.neuron import LayerParams
 from snnkit.training import TrainConfig
@@ -256,13 +256,16 @@ def count_evaluate_calls(monkeypatch):
     return calls
 
 
+ONE_EPOCH = TrainConfig(lr=1e-3, epochs=1, batch_size=32)
+
+
 class TestOneCountedPass:
     """eval and profile read one counted inference pass over the eval slice."""
 
     def test_run_all_scores_the_fine_tuned_model_once(self, tiny_root, monkeypatch):
         root, paths = tiny_root
         calls = count_evaluate_calls(monkeypatch)
-        report = pipeline.Experiment(tiny_config(root, paths, "out_one_pass")).run_all()
+        report = pipeline.Experiment(tiny_config(root, paths, "out_one_pass", snn_train=ONE_EPOCH)).run_all()
         # convert's fidelity pass, then the one counted pass both eval and profile read
         assert len(calls) == 2 and calls[0] is None and calls[1] is not None
         assert calls[1].samples == 60
@@ -283,7 +286,7 @@ class TestOneCountedPass:
 
     def test_a_new_fine_tuned_model_is_scored_again(self, tiny_root, monkeypatch):
         root, paths = tiny_root
-        exp = pipeline.Experiment(tiny_config(root, paths, "out_rescored"))
+        exp = pipeline.Experiment(tiny_config(root, paths, "out_rescored", snn_train=ONE_EPOCH))
         exp.run_all()
         calls = count_evaluate_calls(monkeypatch)
         exp.profile()
@@ -294,8 +297,94 @@ class TestOneCountedPass:
         assert len(calls) == 1
 
 
+class TestFineTuningScore:
+    """Each fine-tuning epoch runs the counted pass, and snn.model keeps the score of the epoch it holds."""
+
+    def test_each_epoch_is_counted_and_eval_and_profile_run_nothing(self, tiny_root, monkeypatch):
+        root, paths = tiny_root
+        phases, seen = [], []
+        timed, evaluate = pipeline.Experiment._timed, pipeline.evaluate
+
+        def track(self, phase, fn):
+            phases.append(phase)
+            return timed(self, phase, fn)
+
+        def spy(*args, **kwargs):
+            seen.append((phases[-1], kwargs.get("counters")))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.Experiment, "_timed", track)
+        monkeypatch.setattr(pipeline, "evaluate", spy)
+        cfg = tiny_config(root, paths, "out_epoch_passes")
+        assert cfg.snn_train.epochs == 2
+        report = pipeline.Experiment(cfg).run_all()
+        assert phases == ["train-ann", "calibrate", "convert", "train-snn", "eval", "profile"]
+        assert [phase for phase, _ in seen] == ["convert", "train-snn", "train-snn"]
+        assert seen[0][1] is None and all(counters.samples == 60 for _, counters in seen[1:])
+        # the last epoch's counters, since keep_best is off
+        assert report.energy.to_dict() == energy(cfg.network, seen[-1][1], cfg.encoder).to_dict()
+
+    def test_kept_best_epoch_scores_as_the_saved_model(self, tiny_root, monkeypatch):
+        root, paths = tiny_root
+        # with this rate the second of three epochs scores best
+        cfg = tiny_config(root, paths, "out_keep_best", snn_train=TrainConfig(lr=1e-2, epochs=3, batch_size=32, keep_best=True))
+        report = pipeline.Experiment(cfg).run_all()
+        curve = report.snn_accuracy_curve
+        assert max(curve) > curve[-1] and report.accuracy_finetuned == max(curve)
+        fresh = pipeline.Experiment(cfg)
+        calls = count_evaluate_calls(monkeypatch)
+        assert fresh.eval() == report.accuracy_finetuned
+        assert fresh.profile().to_dict() == report.energy.to_dict()
+        assert len(calls) == 1
+
+    def test_rate_coding_curve_ends_at_the_fine_tuned_accuracy(self, tiny_root):
+        root, paths = tiny_root
+        report = pipeline.Experiment(tiny_config(root, paths, "out_rate_score", encoder="rate")).run_all()
+        assert len(report.snn_accuracy_curve) == 2
+        assert report.snn_accuracy_curve[-1] == report.accuracy_finetuned
+
+
+@pytest.fixture(scope="module")
+def overridable_run(tiny_root):
+    """A finished run-all of the tiny config (hybrid, seed 7, T=3) and its config file."""
+    root, paths = tiny_root
+    cfg_path = write_config(root, tiny_config(root, paths, "out_overrides"), "overrides.json")
+    assert cli.main(["run-all", "--config", cfg_path]) == 0
+    return cfg_path, root / "out_overrides"
+
+
+OVERRIDES = [("--encoder", "direct", "encoder"), ("--seed", "8", "seed"), ("--timesteps", "4", "network.total_timesteps")]
+
+
 class TestProfileAfterRunAll:
     """The profile command rewrites a run's energy and keeps the rest of its results."""
+
+    @pytest.mark.parametrize("flag, value, key", OVERRIDES)
+    def test_an_override_of_the_run_is_configuration_error(self, overridable_run, capsys, flag, value, key):
+        cfg_path, out = overridable_run
+        names = (pipeline.REPORT_FILE, pipeline.SPIKE_CSV, pipeline.ENERGY_CSV, pipeline.LOSS_CSV)
+        before = {name: (out / name).read_bytes() for name in names}
+        assert cli.main(["profile", "--config", cfg_path, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{pipeline.REPORT_FILE} in {out} records another {key};" in err
+        assert {name: (out / name).read_bytes() for name in names} == before
+
+    @pytest.mark.parametrize("flag, value", [("--encoder", "hybrid"), ("--seed", "7"), ("--timesteps", "3"), ("--out", "")])
+    def test_flags_that_match_the_run_keep_working(self, overridable_run, flag, value):
+        cfg_path, out = overridable_run
+        before = pipeline.load_report(out)
+        assert cli.main(["profile", "--config", cfg_path, flag, value or str(out)]) == 0
+        assert pipeline.load_report(out).energy == before.energy
+
+    @pytest.mark.parametrize("flag, value, key", OVERRIDES)
+    def test_an_override_into_a_fresh_out_profiles_that_run(self, overridable_run, tmp_path, flag, value, key):
+        cfg_path, out = overridable_run
+        (tmp_path / pipeline.SNN_MODEL).write_bytes((out / pipeline.SNN_MODEL).read_bytes())
+        assert cli.main(["profile", "--config", cfg_path, flag, value, "--out", str(tmp_path)]) == 0
+        report = pipeline.load_report(tmp_path)
+        assert cli.config_differences(pipeline.load_report(out).config, report.config) == [key]
+        assert report.energy.encoding == report.config["encoder"]
+        assert report.energy.total_timesteps == report.config["network"]["total_timesteps"]
 
     def test_keeps_the_run_results(self, tiny_root):
         root, paths = tiny_root

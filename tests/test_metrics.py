@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snnkit import numerics
 from snnkit.encoding import DIRECT, HYBRID, RATE, IntensityRange, encode_direct, encode_hybrid
@@ -177,3 +178,35 @@ class TestEnergy:
         counters.samples = 0
         with pytest.raises(ContractViolation):
             energy(spec, counters, DIRECT)
+
+
+# The desk spec and a padded, wider CIFAR-shaped stack.
+BOUND_SPECS = (
+    NetworkSpec(
+        layers=(Conv(8, 5), AvgPool(2), Conv(16, 3), AvgPool(2), FullyConnected(64), FullyConnected(10)),
+        input_shape=(1, 28, 28),
+        num_classes=10,
+        total_timesteps=5,
+    ),
+    NetworkSpec(
+        layers=(Conv(32, 3, padding=1), AvgPool(2), Conv(64, 3, padding=1), AvgPool(2), FullyConnected(10)),
+        input_shape=(3, 32, 32),
+        num_classes=10,
+        total_timesteps=5,
+    ),
+)
+
+
+class TestEnergyBound:
+    """With analog input E_SNN holds the first layer's dense MAC pass, so the ratio is at most sum(f) / f[0]."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(BOUND_SPECS), st.sampled_from([HYBRID, DIRECT]), st.integers(1, 10**4), st.data())
+    def test_ratio_never_exceeds_the_flops_bound(self, spec, mode, samples, data):
+        counters = ActivityCounters(spec)
+        counters.samples = samples
+        layers = len(spec.stages)
+        counters.accumulate_events = data.draw(st.lists(st.integers(0, 10**13), min_size=layers, max_size=layers))
+        counters.output_spikes = data.draw(st.lists(st.integers(0, 10**9), min_size=layers - 1, max_size=layers - 1))
+        f = flops(spec)
+        assert energy(spec, counters, mode).ratio <= sum(f) / f[0] * (1 + 1e-12)

@@ -459,10 +459,12 @@ class TestTrainStep:
         encode = lambda x: encode_hybrid(x, UNIT, 4)
         params = toy_params(spec, numerics.make_rng(18))
         cfg = TrainConfig(lr=5e-2, epochs=4, batch_size=8, keep_best=True)
-        trained, hist = train_snn(
-            spec, params, images, labels, cfg, encode, numerics.make_rng(19), eval_set=(images, labels)
-        )
         from snnkit.network import evaluate
 
+        trained, hist = train_snn(
+            spec, params, images, labels, cfg, encode, numerics.make_rng(19),
+            score=lambda ps: (evaluate(spec, ps, images, labels, encode),),
+        )
         final_acc = evaluate(spec, trained, images, labels, encode)
         assert final_acc == pytest.approx(max(hist["accuracy"]))
+        assert hist["score"] == (final_acc,)
