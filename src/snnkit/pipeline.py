@@ -247,7 +247,7 @@ class Experiment:
         return params
 
     def train_snn(self):
-        """Fine-tune the converted model, scoring each epoch by the counted pass; ``snn.model`` keeps its score."""
+        """Fine-tune the converted model; ``snn.model`` keeps the score of its epoch if that epoch was counted."""
 
         def run():
             cfg = self.cfg
@@ -270,17 +270,18 @@ class Experiment:
             self.report.snn_loss_curve = history["loss"]
             self.report.snn_accuracy_curve = history["accuracy"]
             self._save_model(SNN_MODEL, params)
-            self._scores[SNN_MODEL] = history["score"]
+            if history["score"][1] is not None:  # a kept earlier epoch is counted when eval or profile asks
+                self._scores[SNN_MODEL] = history["score"]
             return params
 
         return self._timed("train-snn", run)
 
-    def _count(self, params):
-        """(accuracy, counters) of the counted pass over the eval slice, encoded by a fresh seeded encoder."""
+    def _count(self, params, count=True):
+        """(accuracy, counters or None) of a pass over the eval slice, encoded by a fresh seeded encoder."""
         cfg = self.cfg
         encode = make_encoder(cfg, self.dataset, rng=np.random.default_rng(cfg.seed))
         images, labels = _eval_slice(cfg, encoder_inputs(cfg, self.dataset, "test"), self.dataset.test_labels)
-        counters = ActivityCounters(cfg.network)
+        counters = ActivityCounters(cfg.network) if count else None
         accuracy = evaluate(cfg.network, params, images, labels, encode, neuron_model=cfg.neuron_model, counters=counters)
         return accuracy, counters
 
@@ -291,7 +292,7 @@ class Experiment:
         return self._scores[model_file]
 
     def eval(self, model_file: str = SNN_MODEL):
-        """Set ``accuracy_finetuned`` from the model's score; in ``run_all`` ``train_snn`` has counted it."""
+        """Set ``accuracy_finetuned`` from the model's score, which ``train_snn`` keeps when it counted that epoch."""
 
         def run():
             self.report.accuracy_finetuned = self._score(model_file)[0]

@@ -281,10 +281,10 @@ def train_snn(
 ):
     """Fine-tune converted parameters with the hybrid loss over T timesteps.
 
-    ``encode`` maps an image batch to a SpikeInputSequence. ``score`` maps
-    parameters to a tuple led by their test accuracy and runs after each
-    epoch. History keeps the mean train losses, the scored accuracies, and as
-    ``"score"`` the returned (last, or with ``keep_best`` best) epoch's score.
+    ``encode`` maps an image batch to a SpikeInputSequence. After each epoch
+    ``score(params, count)`` gives a tuple led by the test accuracy, counting
+    activity only after the last. History keeps the mean train losses, the
+    scored accuracies, and the returned (last or best) epoch's ``"score"``.
     """
     params = list(params)
     n = len(images)
@@ -305,13 +305,11 @@ def train_snn(
             losses.append(loss.loss)
         history["loss"].append(float(np.mean(losses)))
         if score is not None:
-            scored = score(params)
+            scored = score(params, epoch == config.epochs - 1)
             history["accuracy"].append(scored[0])
             if not (config.keep_best and history["score"] and scored[0] <= history["score"][0]):
                 history["score"], best = scored, params
-    if history["score"]:
-        params = best
-    return params, history
+    return (best if history["score"] else params), history
 
 
 @dataclass

@@ -100,7 +100,7 @@ def desk_train_config():
 def _finetune(spec, params, dataset, config, encode, neuron_model, label):
     print(f"[desk] fine-tuning ({label}) ...")
 
-    def score(ps):
+    def evaluate(ps, count=False):
         return (network.evaluate(spec, ps, dataset.test_images, dataset.test_labels, encode, neuron_model=neuron_model),)
 
     params, history = training.train_snn(
@@ -112,9 +112,10 @@ def _finetune(spec, params, dataset, config, encode, neuron_model, label):
         encode,
         numerics.make_rng(3),
         neuron_model=neuron_model,
-        score=score,
+        score=evaluate,
     )
-    acc = history["score"][0]  # the returned (best) epoch's accuracy
+    (acc,) = evaluate(params)
+    assert history["score"] == (acc,)  # train_snn returns the parameters it scored
     print(f"[desk] {label}: final accuracy {acc:.2f}%, best epoch {max(history['accuracy']):.2f}%")
     return {"params": params, "accuracy": acc, "history": history}
 

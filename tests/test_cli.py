@@ -298,9 +298,9 @@ class TestOneCountedPass:
 
 
 class TestFineTuningScore:
-    """Each fine-tuning epoch runs the counted pass, and snn.model keeps the score of the epoch it holds."""
+    """Each fine-tuning epoch scores the eval slice, the last one counted, and snn.model keeps that score."""
 
-    def test_each_epoch_is_counted_and_eval_and_profile_run_nothing(self, tiny_root, monkeypatch):
+    def test_the_last_epoch_is_counted_and_eval_and_profile_run_nothing(self, tiny_root, monkeypatch):
         root, paths = tiny_root
         phases, seen = [], []
         timed, evaluate = pipeline.Experiment._timed, pipeline.evaluate
@@ -320,7 +320,7 @@ class TestFineTuningScore:
         report = pipeline.Experiment(cfg).run_all()
         assert phases == ["train-ann", "calibrate", "convert", "train-snn", "eval", "profile"]
         assert [phase for phase, _ in seen] == ["convert", "train-snn", "train-snn"]
-        assert seen[0][1] is None and all(counters.samples == 60 for _, counters in seen[1:])
+        assert seen[0][1] is None and seen[1][1] is None and seen[2][1].samples == 60
         # the last epoch's counters, since keep_best is off
         assert report.energy.to_dict() == energy(cfg.network, seen[-1][1], cfg.encoder).to_dict()
 
@@ -328,9 +328,13 @@ class TestFineTuningScore:
         root, paths = tiny_root
         # with this rate the second of three epochs scores best
         cfg = tiny_config(root, paths, "out_keep_best", snn_train=TrainConfig(lr=1e-2, epochs=3, batch_size=32, keep_best=True))
+        calls = count_evaluate_calls(monkeypatch)
         report = pipeline.Experiment(cfg).run_all()
         curve = report.snn_accuracy_curve
         assert max(curve) > curve[-1] and report.accuracy_finetuned == max(curve)
+        # convert, three epochs (the last counted), then eval counts the kept uncounted epoch once
+        assert [c is None for c in calls] == [True, True, True, False, False]
+        monkeypatch.undo()
         fresh = pipeline.Experiment(cfg)
         calls = count_evaluate_calls(monkeypatch)
         assert fresh.eval() == report.accuracy_finetuned

@@ -461,10 +461,14 @@ class TestTrainStep:
         cfg = TrainConfig(lr=5e-2, epochs=4, batch_size=8, keep_best=True)
         from snnkit.network import evaluate
 
-        trained, hist = train_snn(
-            spec, params, images, labels, cfg, encode, numerics.make_rng(19),
-            score=lambda ps: (evaluate(spec, ps, images, labels, encode),),
-        )
+        counts = []
+
+        def score(ps, count):
+            counts.append(count)
+            return (evaluate(spec, ps, images, labels, encode),)
+
+        trained, hist = train_snn(spec, params, images, labels, cfg, encode, numerics.make_rng(19), score=score)
         final_acc = evaluate(spec, trained, images, labels, encode)
         assert final_acc == pytest.approx(max(hist["accuracy"]))
         assert hist["score"] == (final_acc,)
+        assert counts == [False, False, False, True]  # only the last epoch is counted
