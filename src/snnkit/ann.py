@@ -180,49 +180,53 @@ def percentile_nearest_rank(values: np.ndarray, p: float) -> float:
 class _TopCollector:
     """Streaming keeper of the top-m values of a sample of known total size.
 
-    The nearest-rank percentile at rank k equals the smallest of the largest
-    m = n - k + 1 values, so only that many are held after each ``add``. The
-    top-m multiset does not depend on the order the values arrive in.
+    The nearest-rank percentile at rank k is the smallest of the largest
+    m = n - k + 1 values, in any arrival order. Once m are kept, a value <=
+    their minimum cannot enter; the others wait and merge in by m at a time
+    (or when ``_top`` is read), so small chunks cost no more than large ones.
+    With ``repeats`` = s, a value added stands for s equal ones: the result
+    is the smallest of the largest (n - k) // s + 1 values added.
     """
 
-    def __init__(self, total_n: int, p: float):
+    def __init__(self, total_n: int, p: float, repeats: int = 1):
         if total_n <= 0:
             raise CalibrationError("percentile collector needs a positive sample size")
         k = max(1, math.ceil(p / 100.0 * total_n))
-        self.keep = total_n - k + 1
-        self.total_n = total_n
-        self.seen = 0
+        self.keep = (total_n - k) // repeats + 1
+        self.total_n, self.repeats = total_n, repeats
+        self.seen, self._waiting, self._waiting_n = 0, [], 0
         self._top = np.empty(0, dtype=np.float32)
+
+    @property
+    def _top(self) -> np.ndarray:  # the largest ``keep`` values added so far
+        if self._waiting:
+            self._merge()
+        return self._kept
+
+    @_top.setter
+    def _top(self, values: np.ndarray):
+        self._kept = values
+        self._floor = values.min() if values.size == self.keep else None  # NaN once NaN is kept: nothing is skipped
+
+    def _merge(self):
+        merged = np.concatenate([self._kept, *self._waiting])
+        self._waiting, self._waiting_n = [], 0
+        self._top = merged if merged.size <= self.keep else np.partition(merged, merged.size - self.keep)[-self.keep :]
 
     def add(self, chunk: np.ndarray):
         chunk = np.asarray(chunk, dtype=np.float32).ravel()
-        self.seen += chunk.size
-        if self._top.size == self.keep:  # a value <= the kept minimum cannot enter; NaN still does
-            chunk = chunk[~(chunk <= self._top.min())]
-        merged = np.concatenate([self._top, chunk])
-        if merged.size > self.keep:
-            merged = np.partition(merged, merged.size - self.keep)[-self.keep :]
-        self._top = merged
+        self.seen += chunk.size * self.repeats
+        if self._floor is not None:  # a value <= the kept minimum cannot enter; NaN still does
+            chunk = chunk[~(chunk <= self._floor)]
+        self._waiting.append(chunk)
+        self._waiting_n += chunk.size
+        if self._waiting_n >= self.keep:
+            self._merge()
 
     def result(self) -> float:
         if self.seen != self.total_n:
             raise ContractViolation(f"collector saw {self.seen} values, expected {self.total_n}")
         return float(self._top.min())
-
-
-class _BitTrain:
-    """One chunk's spike train, held at one bit per neuron and step."""
-
-    def __init__(self):
-        self.rows = []
-
-    def append(self, spikes: np.ndarray):
-        self.shape, self.dtype = spikes.shape, spikes.dtype
-        self.rows.append(np.packbits(spikes != 0, axis=None))
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        bits = np.unpackbits(self.rows[t], count=math.prod(self.shape))
-        return bits.reshape(self.shape).astype(self.dtype)
 
 
 def calibrate_thresholds(weights: list, spec: NetworkSpec, sample_images: np.ndarray, cfg: CalibrationConfig):
@@ -234,34 +238,33 @@ def calibrate_thresholds(weights: list, spec: NetworkSpec, sample_images: np.nda
     encoding for ``cfg.calib_timesteps`` steps. The sample is every image
     passed in; ``cfg.num_images`` is how many the caller draws.
 
-    The layers are calibrated in one layer-major pass. Once layer l's
-    threshold is known, one sweep over the sample runs its LIF neurons and
-    feeds layer l+1's currents to that layer's percentile collector. The
-    sweep recomputes layer l's currents from the spike train of layer l-1
-    (layer 0's from the sample frame, once per chunk), so that train is the
-    only thing held for the whole sample: one bit per neuron, image and
-    step. The sweep builds layer l's train in its place, one 64-image chunk
-    at a time; besides the trains, one chunk's neuron state, updated in place,
-    and one step's currents are live.
+    The layers are calibrated in one layer-major pass over the blocks of
+    ``network.forward``: once layer l's threshold is known, one sweep runs
+    its LIF neurons (a conv layer one ``network.conv_blocks`` block at a time
+    through all steps) and feeds layer l+1's currents, fc ones on the whole
+    sample, to its collector. Each sweep recomputes its currents from the
+    lower layer's spike train (layer 0's from the frame, once per block),
+    and that train, one bit per neuron, image and step, is all it holds.
     """
     stages = spec.stages
     counts = spec.neuron_counts()
     steps = cfg.calib_timesteps
-    chunk = 64  # images simulated together
-    frames = [sample_images[s : s + chunk] for s in range(0, len(sample_images), chunk)]
+    n = len(sample_images)
+    split, blocks = network.conv_blocks(spec, n, weights[0].dtype)
 
     def current(l, x):
         return network.input_current(stages[l], weights[l], network.apply_pre(stages[l], x, None))
 
-    def collector(l):
-        return _TopCollector(counts[l] * len(sample_images) * steps, cfg.percentile)
+    def unpack(trains, l, t):
+        """Step t of layer l's spike train, held as one block of bits per entry of ``trains``, as one array."""
+        bits = np.concatenate([train[t] for train in trains])
+        spikes = np.unpackbits(bits, axis=1, count=counts[l]).reshape((len(bits),) + stages[l].out_shape)
+        return spikes.astype(np.float32)  # the neuron state's dtype, and so its spikes'
 
-    top = collector(0)
-    for frame in frames:
-        drive = current(0, frame)
-        for _ in range(steps):
-            top.add(drive)
-    trains = []  # per chunk, the spike train of the layer below the one being run
+    top = _TopCollector(counts[0] * n * steps, cfg.percentile, repeats=steps)
+    for rows in blocks or [slice(0, n)]:
+        top.add(current(0, sample_images[rows]))
+    below = []  # per block, the spike train of the layer below the one being run
     thresholds = []
     for l in range(len(stages)):
         value = top.result()
@@ -274,19 +277,23 @@ def calibrate_thresholds(weights: list, spec: NetworkSpec, sample_images: np.nda
         if l + 1 == len(stages):
             break
         params = LayerParams(weights[l], value, 1.0)
-        top = collector(l + 1)
-        below, trains = trains, []
-        for frame in frames:
-            train = below.pop(0) if l else None  # freed once this chunk has run
-            drive = None if l else current(0, frame)  # layer 0 reads the same frame at every step
-            state = NeuronState.zeros((len(frame),) + stages[l].out_shape)
-            trains.append(_BitTrain())
+        top = _TopCollector(counts[l + 1] * n * steps, cfg.percentile)
+        trains = []
+        for rows in blocks if l < split else [slice(0, n)]:
+            source, below = (below[:1], below[1:]) if l < split else (below, [])  # a conv layer reads its own block
+            frame = None if l else current(0, sample_images[rows])  # layer 0 reads the same frame at every step
+            state = NeuronState.zeros((rows.stop - rows.start,) + stages[l].out_shape)
+            trains.append([])
             for t in range(steps):
-                if l:
-                    drive = current(l, train[t])
+                drive = current(l, unpack(source, l - 1, t)) if l else frame
                 state, spikes = lif_step(state, params, drive, out=state)
-                trains[-1].append(spikes)
-                top.add(current(l + 1, spikes))
+                trains[-1].append(np.packbits(spikes.reshape(len(spikes), -1) != 0, axis=1))  # a row per image
+                if l + 1 != split:
+                    top.add(current(l + 1, spikes))
+        if l + 1 == split:  # fc currents on the whole sample: a GEMM's rounding depends on its row count
+            for t in range(steps):
+                top.add(current(l + 1, unpack(trains, l, t)))
+        below = trains
     return thresholds
 
 

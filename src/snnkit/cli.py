@@ -16,7 +16,7 @@ import sys
 
 from .config import ExperimentConfig
 from .errors import ConfigurationError, SnnkitError
-from .pipeline import REPORT_FILE, Experiment, emit_report, load_report
+from .pipeline import REPORT_FILE, SNN_MODEL, Experiment, emit_report, load_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,15 +86,16 @@ def main(argv=None) -> int:
             exp.train_snn()
             print(json.dumps({"final_loss": exp.report.snn_loss_curve[-1]}))
         elif args.command == "eval":
-            acc = exp.eval(model_file=args.model or "snn.model")
+            acc = exp.eval(model_file=args.model or SNN_MODEL)
             print(json.dumps({"accuracy": acc}))
         elif args.command == "profile":
             if os.path.exists(os.path.join(cfg.out_dir, REPORT_FILE)):
-                exp.report = load_report(cfg.out_dir)  # a run's report keeps all but its energy
+                exp.report = load_report(cfg.out_dir)  # a run's report keeps all but its energy, which is snn.model's
                 differ = config_differences(exp.report.config, json.loads(json.dumps(cfg.to_dict())))
+                differ += [f"model ({SNN_MODEL}) than {args.model}"] if args.model not in (None, SNN_MODEL) else []
                 if differ:
                     raise ConfigurationError(f"{REPORT_FILE} in {cfg.out_dir} records another {', '.join(differ)}; use a fresh --out")
-            report = exp.profile(model_file=args.model or "snn.model")
+            report = exp.profile(model_file=args.model or SNN_MODEL)
             emit_report(exp.report, cfg.out_dir)
             print(
                 json.dumps(

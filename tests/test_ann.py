@@ -197,6 +197,52 @@ class TestPercentile:
         collector.add(np.array([np.nan, 0.5], dtype=np.float32))
         assert np.isnan(collector.result())
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.nan]), max_size=12), min_size=1, max_size=10),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 50.0, 90.0, 99.7, 100.0]),
+    )
+    def test_repeated_values_are_collected_once(self, chunks, repeats, p):
+        # a chunk added once with ``repeats`` = s stands for s copies of it
+        chunks = [np.array(c, dtype=np.float32) for c in chunks]
+        values = np.concatenate(chunks)
+        assume(values.size)
+        once, plain = ann._TopCollector(values.size * repeats, p, repeats), ann._TopCollector(values.size * repeats, p)
+        for chunk in chunks:
+            once.add(chunk)
+            for _ in range(repeats):
+                plain.add(chunk)
+        got, want = once.result(), plain.result()
+        if np.isnan(values).any():  # NaN always enters the kept values, so it ends in a CalibrationError
+            assert np.isnan(got) and np.isnan(want)
+        else:
+            assert got == want == percentile_nearest_rank(np.tile(values, repeats), p)
+
+    def test_small_chunks_merge_once_per_kept_count(self, monkeypatch):
+        # values wait and merge in m at a time, however small the chunks they come in
+        merges, merge = [], ann._TopCollector._merge
+
+        def counted(collector):
+            merges.append(collector._waiting_n)
+            merge(collector)
+
+        monkeypatch.setattr(ann._TopCollector, "_merge", counted)
+        values = numerics.make_rng(8).normal(size=100_000).astype(np.float32)
+        collector = ann._TopCollector(values.size, 99.0)  # keeps the top 1,001
+        for chunk in np.array_split(values, 2_000):
+            collector.add(chunk)
+        assert collector.result() == percentile_nearest_rank(values, 99.0)
+        assert len(merges) <= 2 * values.size // collector.keep
+
+    def test_nan_current_is_a_calibration_error(self):
+        spec = NetworkSpec(layers=(FullyConnected(5), FullyConnected(3)), input_shape=(4,), num_classes=3, total_timesteps=2)
+        weights = init_ann(spec, numerics.make_rng(4))
+        images = numerics.make_rng(5).random((6, 4)).astype(np.float32)
+        images[2, 1] = np.nan
+        with pytest.raises(CalibrationError, match="layer 0"):
+            calibrate_thresholds(weights, spec, images, CalibrationConfig(num_images=6, calib_timesteps=3))
+
 
 class TestCalibration:
     def test_percentile_100_reduces_to_max_rule(self):

@@ -363,7 +363,7 @@ OVERRIDES = [("--encoder", "direct", "encoder"), ("--seed", "8", "seed"), ("--ti
 class TestProfileAfterRunAll:
     """The profile command rewrites a run's energy and keeps the rest of its results."""
 
-    @pytest.mark.parametrize("flag, value, key", OVERRIDES)
+    @pytest.mark.parametrize("flag, value, key", OVERRIDES + [("--model", pipeline.CONVERTED_MODEL, "model (snn.model) than converted.model")])
     def test_an_override_of_the_run_is_configuration_error(self, overridable_run, capsys, flag, value, key):
         cfg_path, out = overridable_run
         names = (pipeline.REPORT_FILE, pipeline.SPIKE_CSV, pipeline.ENERGY_CSV, pipeline.LOSS_CSV)
@@ -373,7 +373,7 @@ class TestProfileAfterRunAll:
         assert f"{pipeline.REPORT_FILE} in {out} records another {key};" in err
         assert {name: (out / name).read_bytes() for name in names} == before
 
-    @pytest.mark.parametrize("flag, value", [("--encoder", "hybrid"), ("--seed", "7"), ("--timesteps", "3"), ("--out", "")])
+    @pytest.mark.parametrize("flag, value", [("--encoder", "hybrid"), ("--seed", "7"), ("--timesteps", "3"), ("--out", ""), ("--model", "snn.model")])
     def test_flags_that_match_the_run_keep_working(self, overridable_run, flag, value):
         cfg_path, out = overridable_run
         before = pipeline.load_report(out)
@@ -389,6 +389,13 @@ class TestProfileAfterRunAll:
         assert cli.config_differences(pipeline.load_report(out).config, report.config) == [key]
         assert report.energy.encoding == report.config["encoder"]
         assert report.energy.total_timesteps == report.config["network"]["total_timesteps"]
+
+    def test_another_model_into_a_fresh_out_profiles_that_model(self, overridable_run, tmp_path):
+        cfg_path, out = overridable_run
+        (tmp_path / pipeline.CONVERTED_MODEL).write_bytes((out / pipeline.CONVERTED_MODEL).read_bytes())
+        assert cli.main(["profile", "--config", cfg_path, "--model", pipeline.CONVERTED_MODEL, "--out", str(tmp_path)]) == 0
+        converted = pipeline.load_report(tmp_path).energy
+        assert converted is not None and converted != pipeline.load_report(out).energy
 
     def test_keeps_the_run_results(self, tiny_root):
         root, paths = tiny_root
