@@ -2,10 +2,12 @@
 
 The ANN mirrors the spiking network's layer stack with ReLU activations, no
 bias terms anywhere, average pooling, and dropout as the only regularizer.
-Backpropagation is hand-coded. Conversion copies the trained weights,
-calibrates one firing threshold per layer from the percentile of its input
-distribution (collected front-to-back while earlier layers already spike),
-scales the thresholds, and starts every leak at 1.
+Backpropagation is hand-coded. The ANN step walks the stages as the spiking
+forward pass and BPTT do: the conv prefix one ``network.conv_blocks`` block
+of samples at a time, the fc stages on the whole batch. Conversion copies
+the trained weights, calibrates one firing threshold per layer from the
+percentile of its input distribution (collected front-to-back while earlier
+layers already spike), scales the thresholds, and starts every leak at 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
+from . import network, numerics
 from .errors import CalibrationError, ConfigurationError, ContractViolation, NumericalError, TrainingError
 from .errors import require, require_count
 from .network import NetworkSpec
@@ -75,29 +77,89 @@ def init_ann(spec: NetworkSpec, rng: np.random.Generator) -> list:
 
 
 def ann_forward(spec: NetworkSpec, weights: list, x: np.ndarray, train: bool = False, rng=None):
-    """ReLU network forward pass; returns logits and the backward cache."""
-    masks = network.sample_dropout_masks(spec, len(x), rng, np.result_type(x, *weights)) if train else None
-    unfolded, active = [], []
-    for i, stage in enumerate(spec.stages):
-        cols = network.unfold(stage, network.apply_pre(stage, x, masks))
-        pre = network.current(stage, weights[i], cols)
-        unfolded.append(cols)
-        if i == len(weights) - 1:
-            return pre, (masks, unfolded, active)
-        active.append(pre > 0)
-        x = np.maximum(pre, 0.0)
+    """ReLU network forward pass; returns the logits and the backward cache.
+
+    The stages are walked as in ``network.forward``: the conv prefix one
+    ``network.conv_blocks`` block of samples at a time, each block through
+    every conv stage into its rows of the first fc stage's operand, then the
+    fc stages on the whole batch. A conv current is a per-sample matmul, and
+    pooling, dropout and ReLU are elementwise, so any block size gives the
+    same logits. The cache is (dropout masks, walk): a training pass keeps,
+    for each block and then for the fc tail, its rows, its first stage and
+    each stage's unfolded operand and ReLU mask; an inference pass keeps none.
+    """
+    dtype = np.result_type(x, *weights)
+    masks = network.sample_dropout_masks(spec, len(x), rng, dtype) if train else [None] * len(spec.layers)
+    stages = spec.stages
+    split, blocks = network.conv_blocks(spec, len(x), dtype)
+    walk = []
+
+    def run(first, last, rows, x):
+        """Stages first..last-1 on their operand ``x`` over ``rows``; returns stage last's operand, or the logits."""
+        rows_masks = network.mask_rows(masks, rows)
+        kept = []
+        if train:
+            walk.append((rows, first, kept))
+        for i in range(first, last):
+            cols = network.unfold(stages[i], x)
+            pre = network.current(stages[i], weights[i], cols)
+            active = pre > 0 if i + 1 < len(stages) else None
+            if train:
+                kept.append((cols, active))
+            if active is None:
+                return pre
+            x = network.apply_pre(stages[i + 1], np.maximum(pre, 0.0), rows_masks)
+        return x
+
+    x = network.apply_pre(stages[0], x, masks)
+    if split:
+        operand = np.empty((len(x),) + stages[split].operand_shape, dtype=dtype)
+        for rows in blocks:
+            operand[rows] = run(0, split, rows, x[rows])
+        x = operand
+    return run(split, len(stages), slice(0, len(x)), x), (masks, walk)
 
 
 def ann_backward(spec: NetworkSpec, weights: list, cache, dlogits: np.ndarray):
-    """Hand-coded backward pass; returns one gradient per weighted layer."""
-    masks, unfolded, active = cache
+    """Hand-coded backward pass; returns one gradient per weighted layer.
+
+    It walks ``ann_forward``'s blocks back: the fc stages on the whole batch,
+    then each block of the conv prefix back to front. A conv stage's blocks
+    write their per-sample gradient terms into one (B, Co, Ci*k*k) array that
+    is summed once over the batch, so every gradient is the whole-batch sum,
+    bit for bit, at any block size.
+    """
+    masks, walk = cache
+    stages = spec.stages
+    *blocks, (whole, split, tail) = walk
     grads = [None] * len(weights)
-    d = dlogits
-    for i in range(len(weights) - 1, -1, -1):
-        stage = spec.stages[i]
-        grads[i] = network.weight_grad(stage, d, unfolded[i])
-        if i:  # nothing reads the first layer's input adjoint
-            d = network.pre_adjoint(stage, network.input_adjoint(stage, weights[i], d), masks) * active[i - 1]
+
+    def back(first, kept, rows, d):
+        """The stages from ``first`` on, back to front over ``rows``, from the adjoint of the last one's output.
+
+        Returns the adjoint of the ReLU output of the stage below ``first``, which its own walk masks.
+        """
+        rows_masks = network.mask_rows(masks, rows)
+        for i in range(first + len(kept) - 1, first - 1, -1):
+            cols, active = kept[i - first]
+            if active is not None:
+                d = d * active
+            if i < split:  # a conv stage, in blocks
+                if grads[i] is None:
+                    grads[i] = np.empty((len(dlogits), len(weights[i]), weights[i][0].size), np.result_type(d, cols))
+                numerics.conv2d_weight_terms(d, cols, out=grads[i][rows])
+            else:
+                grads[i] = network.weight_grad(stages[i], d, cols)
+            if not i:  # nothing reads the first layer's input adjoint
+                return None
+            d = network.pre_adjoint(stages[i], network.input_adjoint(stages[i], weights[i], d), rows_masks)
+        return d
+
+    d = back(split, tail, whole, dlogits)
+    for rows, _, kept in blocks:
+        back(0, kept, rows, d[rows])
+    for i in range(split):
+        grads[i] = grads[i].sum(0).reshape(stages[i].weight_shape)
     return grads
 
 

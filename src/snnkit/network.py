@@ -342,6 +342,11 @@ def sample_dropout_masks(spec: NetworkSpec, batch: int, rng, dtype):
     return masks
 
 
+def mask_rows(masks, rows):
+    """The rows of each dropout mask for the samples in ``rows`` (None where a descriptor has none)."""
+    return [None if m is None else m[rows] for m in masks]
+
+
 # -- per-stage ops ------------------------------------------------------------
 
 
@@ -365,11 +370,16 @@ def pre_adjoint(stage: Stage, d, masks):
     return d
 
 
-def unfold(stage: Stage, x):
-    """What the weights read: im2col columns for a conv, the flattened input for an fc layer."""
+def unfold(stage: Stage, x, buffers: Buffers | None = None):
+    """What the weights read: im2col columns for a conv, the flattened input for an fc layer.
+
+    With ``buffers``, a conv's columns are written into the stage's column buffer there.
+    """
     layer = stage.layer
     if isinstance(layer, Conv):
-        return numerics.im2col(x, layer.kernel, layer.stride, layer.padding)
+        shape = (len(x), math.prod(stage.weight_shape[1:]), math.prod(stage.out_shape[1:]))
+        out = None if buffers is None else buffers.take(("columns", stage.name), shape, x.dtype)
+        return numerics.im2col(x, layer.kernel, layer.stride, layer.padding, out=out)
     return x.reshape(len(x), -1)
 
 
@@ -428,6 +438,29 @@ def input_adjoint(stage: Stage, weights, d_out):
 
 # -- the T-timestep pass ------------------------------------------------------
 
+
+class Buffers:
+    """Flat arrays that successive passes write into in turn, one per key.
+
+    ``take`` views the leading elements of the array kept under a key, so a
+    smaller batch gets a contiguous array laid out as a fresh one would be.
+    What one ``take`` returns is overwritten by the next pass that takes the
+    same key. ``training.train_snn`` keeps one for each epoch's batches: the
+    trace records and each conv stage's im2col columns.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, key, shape, dtype) -> np.ndarray:
+        """A ``shape`` view of the array kept under ``key``, replaced first if too small or of another dtype."""
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[key] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+
 # Bytes of im2col columns that one block of samples may hold in the conv prefix of
 # ``forward`` and of BPTT: the largest conv stage's columns for a block fit in a core's L2 cache.
 BUDGET = 2 << 20
@@ -457,6 +490,7 @@ def forward(
     rng=None,
     neuron_model: str = SINGLE_SPIKE,
     counters: ActivityCounters | None = None,
+    buffers: Buffers | None = None,
 ):
     """Run the full T-timestep pass for a batch of samples.
 
@@ -477,6 +511,10 @@ def forward(
 
     ``counters`` count each step's accumulate events on the operand before it
     is unfolded (``unfolded_nonzeros``), and hidden spikes on an integer view.
+
+    With ``buffers``, the trace's records and each conv stage's im2col columns
+    are views of the arrays kept there, and BPTT given the same ``buffers``
+    unfolds into those columns; the next pass with them overwrites the trace.
     """
     check_params(spec, params)
     if encoded.total_timesteps != spec.total_timesteps:
@@ -502,12 +540,13 @@ def forward(
     repeats = len(analog_steps) == total_t  # direct coding: the first layer reads one frame at every step
     split, blocks = conv_blocks(spec, batch, dtype)
 
-    def over_time(shape, repeated=False):
+    def over_time(key, shape, repeated=False):
         """A (T, batch) + shape array; a repeated one is a single frame viewed at stride 0 over T."""
+        shape = (batch,) + shape if repeated else (total_t, batch) + shape
+        array = np.empty(shape, dtype=dtype) if buffers is None else buffers.take(key, shape, dtype)
         if not repeated:
-            return np.empty((total_t, batch) + shape, dtype=dtype)
-        frame = np.empty((batch,) + shape, dtype=dtype)
-        return np.lib.stride_tricks.as_strided(frame, (total_t,) + frame.shape, (0,) + frame.strides)
+            return array
+        return np.lib.stride_tricks.as_strided(array, (total_t,) + array.shape, (0,) + array.strides)
 
     trace = None
     if train:
@@ -515,14 +554,14 @@ def forward(
             spec=spec,
             neuron_model=neuron_model,
             thresholds=[p.threshold for p in params[:n_hidden]],
-            layer_inputs=[over_time(s.operand_shape, i == 0 and repeats) for i, s in enumerate(stages)],
-            membranes=[over_time(s.out_shape) for s in stages[:n_hidden]],
-            output_membranes=over_time((spec.num_classes,)),
+            layer_inputs=[over_time(("input", i), s.operand_shape, i == 0 and repeats) for i, s in enumerate(stages)],
+            membranes=[over_time(("membrane", h), s.out_shape) for h, s in enumerate(stages[:n_hidden])],
+            output_membranes=over_time("output", (spec.num_classes,)),
             dropout_masks=masks,
         )
         operands = trace.layer_inputs[split]
     else:
-        operands = over_time(stages[split].operand_shape) if split else None
+        operands = np.empty((total_t, batch) + stages[split].operand_shape, dtype=dtype) if split else None
     # operands[t - 1] is the first fc stage's operand at step t, written block by block by the conv prefix
     tallies = None if counters is None else counters.add_samples(batch)
 
@@ -531,7 +570,7 @@ def forward(
         n = rows.stop - rows.start
         states = {i: NeuronState.zeros((n,) + stages[i].out_shape, dtype=dtype) for i in range(first, min(last, n_hidden))}
         out_state = OutputState.zeros((n, spec.num_classes), dtype=dtype)
-        rows_masks = [None if m is None else m[rows] for m in masks]
+        rows_masks = mask_rows(masks, rows)
         for t in range(1, total_t + 1):
             for i in range(first, last):
                 stage, p = stages[i], params[i]
@@ -548,7 +587,7 @@ def forward(
                             trace.layer_inputs[i][t - 1, rows] = x
                     if counters is not None and (i or t not in analog_steps):
                         counters.accumulate_events[i] += unfolded_nonzeros(stage, x) * p.weights.shape[0]
-                    drive = current(stage, p.weights, unfold(stage, x))
+                    drive = current(stage, p.weights, unfold(stage, x, buffers))
                     if i == 0 and repeats:
                         held = drive
 

@@ -61,12 +61,16 @@ def _windows(kernel: int, stride: int, padding: int, in_hw: tuple, out_hw: tuple
     return tuple(out)
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold (B,C,H,W) into patch columns of shape (B, C*k*k, Ho*Wo), with no padded copy of ``x``."""
+def im2col(x: np.ndarray, kernel: int, stride: int, padding: int, out=None) -> np.ndarray:
+    """Unfold (B,C,H,W) into patch columns of shape (B, C*k*k, Ho*Wo), with no padded copy of ``x``.
+
+    ``out``, a contiguous array of that shape and ``x``'s dtype, receives the columns instead of a new array.
+    """
     b, c, h, w = x.shape
     ho = conv_output_extent(h, kernel, stride, padding)
     wo = conv_output_extent(w, kernel, stride, padding)
-    cols = np.empty((b, c, kernel, kernel, ho, wo), dtype=x.dtype)
+    shape = (b, c, kernel, kernel, ho, wo)
+    cols = np.empty(shape, dtype=x.dtype) if out is None else out.reshape(shape)
     for window, source, borders in _windows(kernel, stride, padding, (h, w), (ho, wo)):
         for border in borders:
             cols[border] = 0
@@ -125,23 +129,29 @@ def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, in_shape, stride: i
     return col2im(dcols, in_shape, k, stride, padding)
 
 
-def conv2d_weight_grad(dout: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Kernel gradient as a (Co, Ci*k*k) matrix, summed over the batch.
+def conv2d_weight_terms(dout: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
+    """Per-sample kernel-gradient terms, (B, Co, Ci*k*k), written into ``out`` when given.
 
     ``cols`` are the im2col columns of the forward input, (B, Ci*k*k, Ho*Wo).
     """
     b, co = dout.shape[:2]
-    return np.matmul(dout.reshape(b, co, -1), cols.transpose(0, 2, 1)).sum(0)
+    return np.matmul(dout.reshape(b, co, -1), cols.transpose(0, 2, 1), out=out)
+
+
+def conv2d_weight_grad(dout: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Kernel gradient as a (Co, Ci*k*k) matrix: the per-sample terms summed over the batch."""
+    return conv2d_weight_terms(dout, cols).sum(0)
 
 
 def avgpool2d(x, window: int) -> np.ndarray:
     """Mean over non-overlapping window x window blocks of a (B,C,H,W) batch.
 
-    Each window row is summed left to right, the row sums are added top to
-    bottom, and the total is divided by ``window * window``. Starting from
-    ``0.0 + x`` makes a window of negative zeros sum to +0.0. For windows
-    below 8 whose pooled map is at least two columns wide this is the order
-    and result of ``reshape(...).mean(axis=(3, 5))``, bit for bit.
+    Each window row is summed left to right, in strided passes over whole
+    rows, the row sums are added top to bottom, and the total is divided by
+    ``window * window``. Adding ``0.0`` once to the sums makes a window of
+    negative zeros sum to +0.0. For windows below 8 whose pooled map is at
+    least two columns wide this is the order and result of
+    ``reshape(...).mean(axis=(3, 5))``, bit for bit.
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -150,15 +160,15 @@ def avgpool2d(x, window: int) -> np.ndarray:
     if h % window or w % window:
         raise ConfigurationError(f"pool window {window} does not divide extents {(h, w)}")
 
-    def row_sum(ky):
-        row = x[:, :, ky::window, 0::window] + 0.0
-        for kx in range(1, window):
-            row += x[:, :, ky::window, kx::window]
-        return row
+    def interleaved_sum(a, axis):
+        """The ``window`` interleaved slices of ``a`` along ``axis`` (2 or 3), added first to last."""
+        part = (lambda k: a[:, :, k::window]) if axis == 2 else (lambda k: a[:, :, :, k::window])
+        total = part(0) + part(1) if window > 1 else part(0)
+        for k in range(2, window):
+            total += part(k)
+        return total
 
-    out = row_sum(0)
-    for ky in range(1, window):
-        out += row_sum(ky)
+    out = interleaved_sum(interleaved_sum(x, 3), 2) + 0.0
     out /= window * window
     out = out.astype(x.dtype, copy=False)
     return require_finite("avgpool2d", out)

@@ -149,22 +149,27 @@ def output_layer_grads(trace: TemporalTrace, loss: HybridLossResult, params: lis
     return d_weights.astype(params[last].weights.dtype), d_threshold
 
 
-def _sweep(trace: TemporalTrace, params: list, config: TrainConfig, grads: GradientSet, layers, rows: slice, upper: list):
+def _sweep(
+    trace: TemporalTrace, params: list, config: TrainConfig, grads: GradientSet, layers, rows: slice, upper: list, buffers
+):
     """BPTT over the hidden ``layers``, top down, for the samples in ``rows``, steps T..1.
 
     ``upper[t-1]`` is the adjoint of the operand input of the layer above the
     first one at step t, over ``rows``. Each layer's weight, threshold and
     leak terms are added into ``grads`` as batch sums; returns the last
-    layer's per-step input adjoints.
+    layer's per-step input adjoints. A conv layer's columns go into its
+    column buffer in ``buffers`` when that is not None.
     """
     stages = trace.spec.stages
     total_t = trace.spec.total_timesteps
-    masks = [None if m is None else m[rows] for m in trace.dropout_masks]
+    masks = network.mask_rows(trace.dropout_masks, rows)
     gate_of, _ = trace.rules()
     for h in layers:
         stage, above, p = stages[h], stages[h + 1], params[h]
         v = float(p.threshold)
-        d_membrane_next = np.zeros((rows.stop - rows.start,) + stage.out_shape, dtype=p.weights.dtype)
+        # the membrane adjoint of the step after the one swept; nothing reads the first layer's input
+        # adjoint, and so neither its membrane adjoint
+        d_membrane = np.zeros((rows.stop - rows.start,) + stage.out_shape, dtype=p.weights.dtype) if h else None
         input_deltas = [None] * total_t
         inputs = trace.layer_inputs[h]
         cols = None  # kept over the steps only while the input repeats: a stride-0 frame (direct coding)
@@ -173,28 +178,30 @@ def _sweep(trace: TemporalTrace, params: list, config: TrainConfig, grads: Gradi
         for t in range(total_t, 0, -1):
             d_spikes = network.pre_adjoint(above, upper[t - 1], masks)
             d_z = d_spikes * surrogate_grad(z_t, config.surrogate_gain)
-            d_membrane = d_z / v + p.leak * d_membrane_next
+            d_zv = d_z / v
 
             u_prev, z_prev = trace.settled(h, t - 1, rows)  # the state step t started from
             gate = gate_of(u_prev, z_prev, trace.thresholds[h]).astype(d_z.dtype)
 
             if cols is None:
-                cols = network.unfold(stage, inputs[t - 1, rows])
-            grads.weight[h] += network.weight_grad(stage, d_z / v, cols)
+                cols = network.unfold(stage, inputs[t - 1, rows], buffers)
+            grads.weight[h] += network.weight_grad(stage, d_zv, cols)
             if inputs.strides[0]:
                 cols = None
-            if h:  # nothing reads the first layer's input adjoint
+            if h:
+                d_membrane = d_zv + p.leak * d_membrane
                 input_deltas[t - 1] = network.input_adjoint(stage, p.weights, d_membrane)
 
             grads.threshold[h] += float((d_z * (-v * gate - u_t)).sum() / (v * v))
             grads.leak[h] += float((d_z * u_prev).sum() / v)
-            d_membrane_next = d_membrane
             u_t, z_t = u_prev, z_prev
         upper = input_deltas
     return upper
 
 
-def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult, config: TrainConfig) -> GradientSet:
+def bptt_hidden_grads(
+    trace: TemporalTrace, params: list, loss: HybridLossResult, config: TrainConfig, buffers=None
+) -> GradientSet:
     """Hidden-layer gradients via backpropagation through time.
 
     For each hidden layer the per-timestep adjoint of the spike output is
@@ -208,6 +215,7 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
     steps T..1 before the next block starts. With one block the sums are
     those of a whole-batch pass, bit for bit. With several, a conv stage's
     gradients are summed block after block, which changes their rounding.
+    ``buffers`` (a ``network.Buffers``) holds the conv stages' im2col columns.
     """
     batch = _loss_batch(trace, loss)
     n_hidden = len(params) - 1
@@ -217,15 +225,15 @@ def bptt_hidden_grads(trace: TemporalTrace, params: list, loss: HybridLossResult
     # Adjoint of the output layer's operand input: the output accumulator makes it the same at every step.
     grad_u = loss.grad_u.astype(params[-1].weights.dtype, copy=False)
     upper = [network.input_adjoint(trace.spec.stages[-1], params[-1].weights, grad_u)] * trace.spec.total_timesteps
-    upper = _sweep(trace, params, config, sums, range(n_hidden - 1, split - 1, -1), slice(0, batch), upper)
+    upper = _sweep(trace, params, config, sums, range(n_hidden - 1, split - 1, -1), slice(0, batch), upper, buffers)
     for rows in blocks:
-        _sweep(trace, params, config, sums, range(split - 1, -1, -1), rows, [d[rows] for d in upper])
+        _sweep(trace, params, config, sums, range(split - 1, -1, -1), rows, [d[rows] for d in upper], buffers)
     return GradientSet(*([g / batch for g in terms] for terms in (sums.weight, sums.threshold, sums.leak)))
 
 
-def backward(trace: TemporalTrace, params: list, loss: HybridLossResult, config: TrainConfig) -> GradientSet:
-    """Full gradient set: hidden layers via BPTT plus the output layer paths."""
-    hidden = bptt_hidden_grads(trace, params, loss, config)
+def backward(trace: TemporalTrace, params: list, loss: HybridLossResult, config: TrainConfig, buffers=None) -> GradientSet:
+    """Full gradient set: hidden layers via BPTT plus the output layer paths; ``buffers`` as in ``bptt_hidden_grads``."""
+    hidden = bptt_hidden_grads(trace, params, loss, config, buffers)
     d_w_out, d_v_out = output_layer_grads(trace, loss, params, config.spike_time_band)
     return GradientSet(
         weight=hidden.weight + [d_w_out],
@@ -285,6 +293,12 @@ def train_snn(
     ``score(params, count)`` gives a tuple led by the test accuracy, counting
     activity only after the last. History keeps the mean train losses, the
     scored accuracies, and the returned (last or best) epoch's ``"score"``.
+
+    The batches of an epoch share one ``network.Buffers``: each forward pass
+    writes its trace and its conv stages' im2col columns into the arrays the
+    previous batch used, and BPTT unfolds into the same columns, so the heap
+    does not shrink and regrow (and fault its pages in again) between
+    batches. The buffers are dropped before the epoch is scored.
     """
     params = list(params)
     n = len(images)
@@ -292,17 +306,19 @@ def train_snn(
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         losses = []
+        buffers = network.Buffers()
         for s in range(0, n, config.batch_size):
             idx = order[s : s + config.batch_size]
             encoded = encode(images[idx])
-            out, trace = forward(spec, params, encoded, mode=TRAIN, rng=rng, neuron_model=neuron_model)
+            out, trace = forward(spec, params, encoded, mode=TRAIN, rng=rng, neuron_model=neuron_model, buffers=buffers)
             loss = hybrid_loss(out, one_hot(labels[idx], spec.num_classes))
             if not math.isfinite(loss.loss):
                 raise TrainingError(f"SNN training diverged at epoch {epoch}: loss={loss.loss}")
-            grads = backward(trace, params, loss, config)
-            del trace  # free this batch's trace before the next forward builds one
+            grads = backward(trace, params, loss, config, buffers)
+            del trace  # its records view ``buffers``: the epoch's end frees both
             params = optimizer_step(params, grads, config, epoch)
             losses.append(loss.loss)
+        del buffers  # the scoring pass runs without this epoch's training buffers
         history["loss"].append(float(np.mean(losses)))
         if score is not None:
             scored = score(params, epoch == config.epochs - 1)

@@ -1,8 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from snnkit import ann, numerics
+from snnkit import ann, network, numerics
 from snnkit.ann import (
     CalibrationConfig,
     ann_accuracy,
@@ -140,6 +143,87 @@ class TestAnnTraining:
         weights = init_ann(tiny_spec(), numerics.make_rng(0))
         # one tensor per weighted layer and nothing else
         assert len(weights) == 3
+
+
+def padded_two_conv_spec():
+    """Two padded convs, each with a pool behind it, dropout in front of the first fc layer."""
+    return NetworkSpec(
+        layers=(
+            Conv(4, 3, padding=1),
+            AvgPool(2),
+            Conv(6, 3, padding=1),
+            AvgPool(2),
+            Dropout(0.2),
+            FullyConnected(8),
+            FullyConnected(3),
+        ),
+        input_shape=(2, 8, 8),
+        num_classes=3,
+        total_timesteps=2,
+    )
+
+
+class TestBlockWalk:
+    """``ann_forward`` and ``ann_backward`` run the conv prefix over ``network.conv_blocks``' blocks."""
+
+    BATCH = 7
+
+    def use_blocks(self, monkeypatch, spec, block, dtype):
+        """Set BUDGET for conv-prefix blocks of ``block`` samples (None: one block for the whole batch)."""
+        per_sample = max(
+            math.prod(s.weight_shape[1:]) * math.prod(s.out_shape[1:]) * np.dtype(dtype).itemsize
+            for s in spec.stages
+            if isinstance(s.layer, Conv)
+        )
+        monkeypatch.setattr(network, "BUDGET", (block or self.BATCH) * per_sample)
+        assert len(network.conv_blocks(spec, self.BATCH, dtype)[1]) == -(-self.BATCH // (block or self.BATCH))
+
+    def step(self, monkeypatch, spec, block, dtype):
+        """Logits and gradients of one training step with the conv prefix in blocks of ``block`` samples."""
+        self.use_blocks(monkeypatch, spec, block, dtype)
+        rng = numerics.make_rng(11)
+        weights = [w.astype(dtype) for w in init_ann(spec, rng)]
+        x = rng.normal(size=(self.BATCH,) + spec.input_shape).astype(dtype)
+        logits, cache = ann_forward(spec, weights, x, train=True, rng=numerics.make_rng(12))
+        assert len(cache[1]) == -(-self.BATCH // (block or self.BATCH)) + 1  # the blocks, then the fc tail
+        _, dlogits = softmax_cross_entropy(logits, np.arange(self.BATCH) % spec.num_classes)
+        return logits, ann_backward(spec, weights, cache, dlogits)
+
+    @pytest.mark.parametrize("spec", [strided_dropout_spec(), padded_two_conv_spec()], ids=["strided", "two-conv"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [1, 3])  # 3 leaves a ragged last block of 1
+    def test_blocks_give_the_one_block_bits(self, monkeypatch, spec, dtype, block):
+        whole_logits, whole_grads = self.step(monkeypatch, spec, None, dtype)
+        logits, grads = self.step(monkeypatch, spec, block, dtype)
+        assert logits.dtype == whole_logits.dtype == dtype and logits.tobytes() == whole_logits.tobytes()
+        assert len(grads) == len(whole_grads) == len(spec.stages)
+        for g, w, stage in zip(grads, whole_grads, spec.stages):
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape == stage.weight_shape
+            assert g.tobytes() == w.tobytes()
+        assert all(g.any() for g in whole_grads)
+
+    def test_an_inference_pass_keeps_no_columns(self):
+        spec = padded_two_conv_spec()
+        weights = init_ann(spec, numerics.make_rng(13))
+        x = numerics.make_rng(14).random((self.BATCH,) + spec.input_shape).astype(np.float32)
+        logits, cache = ann_forward(spec, weights, x)
+        masks, walk = cache
+        assert logits.shape == (self.BATCH, spec.num_classes) and walk == [] and all(m is None for m in masks)
+
+    def test_accuracy_pass_holds_less_than_its_chunks_first_layer_columns(self, desk_spec):
+        # 256 images are one ann_accuracy chunk; its whole conv1 columns would take 14.7 MB
+        images = numerics.make_rng(15).random((256,) + desk_spec.input_shape).astype(np.float32)
+        labels = np.arange(256) % desk_spec.num_classes
+        weights = init_ann(desk_spec, numerics.make_rng(16))
+        conv1 = desk_spec.stages[0]
+        whole_columns = 256 * math.prod(conv1.weight_shape[1:]) * math.prod(conv1.out_shape[1:]) * 4
+        tracemalloc.start()
+        try:
+            ann_accuracy(desk_spec, weights, images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert whole_columns == 14_745_600 and peak < whole_columns
 
 
 class TestPercentile:

@@ -7,6 +7,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from snnkit import pipeline
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -62,3 +64,29 @@ def test_run_synthetic_writes_a_report(monkeypatch, capsys, tmp_path):
     report = pipeline.load_report(out)
     assert report.accuracy_finetuned == printed["accuracy_finetuned"]
     assert report.energy.ratio == printed["energy_ratio"]
+
+
+def test_phase_faults_prints_one_line_per_warm_pipeline(monkeypatch, capsys, tmp_path):
+    run_script(monkeypatch, "run_synthetic.py", "--out", str(tmp_path / "run"), *SMALL)
+    capsys.readouterr()
+    config = tmp_path / "run" / "config.json"
+    monkeypatch.setattr(sys, "argv", ["phase_faults.py", "--config", str(config), "--pipelines", "3"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "phase_faults.py"), run_name="__main__")
+    assert done.value.code == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["pipeline"] for line in lines] == [2, 3]
+    phases = {"train-ann", "calibrate", "convert", "train-snn", "eval", "profile"}
+    for line in lines:
+        assert set(line["phases"]) == phases and line["maxrss_mib"] > 0
+        for measured in line["phases"].values():
+            assert measured["wall_s"] >= 0 and isinstance(measured["minor_faults"], int) and measured["minor_faults"] >= 0
+
+
+def test_phase_faults_exits_with_the_config_errors_code(monkeypatch, capsys, tmp_path):
+    config = tmp_path / "broken.json"
+    config.write_text("{not json")
+    monkeypatch.setattr(sys, "argv", ["phase_faults.py", "--config", str(config), "--pipelines", "2"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "phase_faults.py"), run_name="__main__")
+    assert done.value.code == 2 and "not valid JSON" in capsys.readouterr().err

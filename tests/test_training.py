@@ -7,7 +7,7 @@ import pytest
 from snnkit import network, numerics, training
 from snnkit.encoding import IntensityRange, encode_direct, encode_hybrid
 from snnkit.errors import ConfigurationError, ContractViolation, TrainingError
-from snnkit.network import SINGLE_SPIKE, AvgPool, Conv, FullyConnected, NetworkSpec, TRAIN, forward
+from snnkit.network import SINGLE_SPIKE, AvgPool, Conv, Dropout, FullyConnected, NetworkSpec, TRAIN, forward
 from snnkit.neuron import LayerParams, OutputState
 from snnkit.training import (
     GradientSet,
@@ -298,6 +298,77 @@ class TestBlockedBptt:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 0.7 * peaks[0]
+
+
+class TestEpochBuffers:
+    """``train_snn``'s batches write their traces and conv columns into one ``network.Buffers``."""
+
+    T = 3
+
+    def spec(self):
+        return NetworkSpec(
+            layers=(Conv(4, 3, padding=1), AvgPool(2), Conv(6, 3), Dropout(0.2), FullyConnected(8), FullyConnected(3)),
+            input_shape=(2, 8, 8),
+            num_classes=3,
+            total_timesteps=self.T,
+        )
+
+    @staticmethod
+    def records(trace):
+        return trace.layer_inputs + trace.membranes + [trace.output_membranes]
+
+    @pytest.mark.parametrize("encode", ["hybrid", "direct"])
+    @pytest.mark.parametrize("sizes", [(6, 6), (6, 4)], ids=["equal", "smaller-last"])
+    def test_batches_share_storage_and_give_the_bits_of_fresh_passes(self, encode, sizes):
+        spec = self.spec()
+        rng = numerics.make_rng(21)
+        params = [LayerParams(rng.normal(0.1, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        buffers = network.Buffers()
+        traces = []
+        for k, n in enumerate(sizes):
+            images = rng.random((n,) + spec.input_shape).astype(np.float32)
+            encoded = encode_hybrid(images, UNIT, self.T) if encode == "hybrid" else encode_direct(images, self.T)
+            loss_of = lambda out: hybrid_loss(out, one_hot(np.arange(n) % 3, 3))  # noqa: E731
+            fresh_out, fresh = forward(spec, params, encoded, mode=TRAIN, rng=numerics.make_rng(k))
+            out, trace = forward(spec, params, encoded, mode=TRAIN, rng=numerics.make_rng(k), buffers=buffers)
+            assert out.membrane.tobytes() == fresh_out.membrane.tobytes()
+            for got, want in zip(self.records(trace), self.records(fresh)):
+                assert got.shape == want.shape and got.strides == want.strides and got.tobytes() == want.tobytes()
+            assert (trace.layer_inputs[0].strides[0] == 0) == (encode == "direct")  # the direct frame, viewed over T
+            loss = loss_of(out)
+            grads = backward(trace, params, loss, TrainConfig(), buffers)
+            want = backward(fresh, params, loss_of(fresh_out), TrainConfig())
+            for got_w, want_w in zip(grads.weight, want.weight):
+                assert got_w.tobytes() == want_w.tobytes()
+            assert grads.threshold == want.threshold and grads.leak == want.leak
+            traces.append(trace)
+        assert all(np.shares_memory(a, b) for a, b in zip(self.records(traces[0]), self.records(traces[1])))
+
+    def test_bptt_unfolds_into_the_forward_passs_columns(self, monkeypatch):
+        spec = self.spec()
+        rng = numerics.make_rng(22)
+        params = [LayerParams(rng.normal(0.1, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        encoded = encode_hybrid(rng.random((5,) + spec.input_shape).astype(np.float32), UNIT, self.T)
+        buffers = network.Buffers()
+        columns = {"forward": [], "bptt": []}
+        phase = ["forward"]
+        im2col = numerics.im2col
+
+        def recording(*args, **kwargs):
+            cols = im2col(*args, **kwargs)
+            columns[phase[0]].append(cols)
+            return cols
+
+        monkeypatch.setattr(numerics, "im2col", recording)
+        out, trace = forward(spec, params, encoded, mode=TRAIN, rng=numerics.make_rng(0), buffers=buffers)
+        phase[0] = "bptt"
+        backward(trace, params, hybrid_loss(out, one_hot(np.arange(5) % 3, 3)), TrainConfig(), buffers)
+        cols = columns["forward"] + columns["bptt"]
+        assert len(columns["forward"]) == len(columns["bptt"]) == 2 * self.T
+        # one buffer per conv stage: every unfold of a stage writes into the same memory
+        for first in cols:
+            same = [np.shares_memory(first, c) for c in cols]
+            assert sum(same) == self.T * 2 and all(same[k] == (c.shape == first.shape) for k, c in enumerate(cols))
 
 
 class TestOptimizer:
