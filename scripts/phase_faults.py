@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Per-phase wall clock and minor page faults of repeated pipelines in one process.
+"""Per-phase wall clock, minor page faults and peak RSS of repeated pipelines in one process.
 
 Usage (from the repository root):
 
     python3 scripts/phase_faults.py --config runs/synthetic/config.json --pipelines 6
 
 Runs ``Experiment(cfg).run_all()`` ``--pipelines`` times in this process, and
-after each pipeline but the first (a warm heap, as in a benchmark's closed
-loop) prints one JSON line: each phase's wall clock in seconds and its minor
-page faults (the ``ru_minflt`` delta around the phase), and the process's
-``ru_maxrss`` in MiB so far. BLAS runs at one thread unless the environment
-sets its thread count.
+after each pipeline prints one JSON line: each phase's wall clock in seconds,
+its minor page faults (the ``ru_minflt`` delta around the phase) and the
+process's ``ru_maxrss`` high-water mark in MiB when the phase ends, so the
+first phase that reaches the last value is the one that set the peak; and
+that peak. The first pipeline starts from a cold heap, the later ones from a
+warm heap, as in a benchmark's closed loop. BLAS runs at one thread unless
+the environment sets its thread count.
 """
 
 import argparse
@@ -29,12 +31,17 @@ from snnkit.config import ExperimentConfig
 from snnkit.errors import SnnkitError
 
 
+def maxrss_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 class MeasuredExperiment(pipeline.Experiment):
-    """An Experiment that records each phase's minor page faults next to its wall clock."""
+    """An Experiment that records each phase's minor page faults and the peak RSS after it."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.minor_faults = {}
+        self.maxrss_mib = {}
 
     def _timed(self, phase, fn):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -42,23 +49,22 @@ class MeasuredExperiment(pipeline.Experiment):
             return super()._timed(phase, fn)
         finally:
             self.minor_faults[phase] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            self.maxrss_mib[phase] = maxrss_mib()
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="experiment config JSON")
-    parser.add_argument("--pipelines", type=int, default=6, help="pipelines to run; the first is not printed")
+    parser.add_argument("--pipelines", type=int, default=6, help="pipelines to run; the first starts from a cold heap")
     args = parser.parse_args()
-    if args.pipelines < 2:
-        parser.error("--pipelines must be at least 2: the first pipeline only warms the process")
+    if args.pipelines < 1:
+        parser.error("--pipelines must be at least 1")
 
     try:
         cfg = ExperimentConfig.from_json(args.config)
         for k in range(1, args.pipelines + 1):
             exp = MeasuredExperiment(cfg)
-            report = exp.run_all()
-            if k > 1:
-                print_pipeline(k, exp, report)
+            print_pipeline(k, exp, exp.run_all())
     except SnnkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -67,11 +73,10 @@ def main():
 
 def print_pipeline(k, exp, report):
     phases = {
-        phase: {"wall_s": seconds, "minor_faults": exp.minor_faults[phase]}
+        phase: {"wall_s": seconds, "minor_faults": exp.minor_faults[phase], "maxrss_mib": exp.maxrss_mib[phase]}
         for phase, seconds in report.wall_clock_s.items()
     }
-    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"pipeline": k, "phases": phases, "maxrss_mib": maxrss}), flush=True)
+    print(json.dumps({"pipeline": k, "phases": phases, "maxrss_mib": maxrss_mib()}), flush=True)
 
 
 if __name__ == "__main__":

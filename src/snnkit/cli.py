@@ -2,8 +2,9 @@
 
 Subcommands mirror the pipeline phases (train-ann, calibrate, convert,
 train-snn, eval, profile) plus run-all. Flags override config-file values,
-which override defaults. Exit codes: 0 success, 2 configuration, 3
-ingestion, 4 training, 5 emission, 1 anything else.
+which override defaults. Exit codes: 0 success, 2 configuration (an array
+too large to allocate included), 3 ingestion, 4 training, 5 emission, 1
+anything else.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ def main(argv=None) -> int:
     except SnnkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # outside a phase, which names itself in a ConfigurationError
+        print(f"error: cannot allocate what the config asks for: {exc}", file=sys.stderr)
+        return ConfigurationError.exit_code
     except Exception as exc:  # pragma: no cover - unexpected failures
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 1

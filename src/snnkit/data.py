@@ -26,7 +26,12 @@ CIFAR_RECORD_BYTES = 3073
 
 @dataclass
 class Dataset:
-    """Both splits in raw [0,1] and standardized form, plus the statistics."""
+    """Both splits in standardized form, plus the statistics and, while kept, the raw [0,1] images.
+
+    The standardized images are computed from the raw ones when not given.
+    ``pipeline.load_experiment_dataset`` keeps the raw images only for the
+    rate encoder, the only one that reads them, and sets them to None otherwise.
+    """
 
     train_images01: np.ndarray
     train_labels: np.ndarray

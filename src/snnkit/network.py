@@ -373,12 +373,13 @@ def pre_adjoint(stage: Stage, d, masks):
 def unfold(stage: Stage, x, buffers: Buffers | None = None):
     """What the weights read: im2col columns for a conv, the flattened input for an fc layer.
 
-    With ``buffers``, a conv's columns are written into the stage's column buffer there.
+    With ``buffers``, a conv's columns are written into the one column buffer there, which every
+    conv stage shares: the columns are read before the next unfold overwrites them.
     """
     layer = stage.layer
     if isinstance(layer, Conv):
         shape = (len(x), math.prod(stage.weight_shape[1:]), math.prod(stage.out_shape[1:]))
-        out = None if buffers is None else buffers.take(("columns", stage.name), shape, x.dtype)
+        out = None if buffers is None else buffers.take("columns", shape, x.dtype)
         return numerics.im2col(x, layer.kernel, layer.stride, layer.padding, out=out)
     return x.reshape(len(x), -1)
 
@@ -446,7 +447,7 @@ class Buffers:
     smaller batch gets a contiguous array laid out as a fresh one would be.
     What one ``take`` returns is overwritten by the next pass that takes the
     same key. ``training.train_snn`` keeps one for each epoch's batches: the
-    trace records and each conv stage's im2col columns.
+    trace records and one im2col column buffer that the conv stages share.
     """
 
     def __init__(self):
@@ -512,9 +513,10 @@ def forward(
     ``counters`` count each step's accumulate events on the operand before it
     is unfolded (``unfolded_nonzeros``), and hidden spikes on an integer view.
 
-    With ``buffers``, the trace's records and each conv stage's im2col columns
-    are views of the arrays kept there, and BPTT given the same ``buffers``
-    unfolds into those columns; the next pass with them overwrites the trace.
+    With ``buffers``, the trace's records and every conv stage's im2col
+    columns are views of the arrays kept there, and BPTT given the same
+    ``buffers`` unfolds into that column buffer; the next pass with them
+    overwrites the trace.
     """
     check_params(spec, params)
     if encoded.total_timesteps != spec.total_timesteps:

@@ -69,7 +69,10 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
             raise ConfigurationError(
                 f"{split} images have shape {images.shape[1:]}, network.input_shape is {tuple(cfg.network.input_shape)}"
             )
-    return data_mod.normalize_dataset(train01, train_labels, test01, test_labels)
+    dataset = data_mod.normalize_dataset(train01, train_labels, test01, test_labels)
+    if cfg.encoder != RATE:  # only the rate encoder reads the [0,1] images
+        dataset.train_images01 = dataset.test_images01 = None
+    return dataset
 
 
 def make_encoder(cfg: ExperimentConfig, dataset: data_mod.Dataset, rng: np.random.Generator):
@@ -128,6 +131,8 @@ class Experiment:
             result = fn()
         except SnnkitError as exc:
             raise _tag_phase(exc, phase)
+        except MemoryError as exc:  # numpy refuses an array the config's sizes ask for
+            raise _tag_phase(ConfigurationError(f"cannot allocate what the config asks for: {exc}"), phase) from exc
         self.report.wall_clock_s[phase] = time.perf_counter() - start
         return result
 
@@ -225,6 +230,7 @@ class Experiment:
             )
             converted = ann_mod.convert(ann_weights, thresholds, cfg.calibration)
             self._save_model(CONVERTED_MODEL, converted)
+            self.ann_weights = None  # no later phase reads them; _require_ann reloads ann.model if one does
             return converted
 
         return self._timed("convert", run)
@@ -251,13 +257,13 @@ class Experiment:
 
         def run():
             cfg = self.cfg
-            params = self._load_model(CONVERTED_MODEL)
             rng = self.rngs["train-snn"]
             encode = make_encoder(cfg, self.dataset, rng=rng)
             images = encoder_inputs(cfg, self.dataset, "train")
+            # handed over, not held here: training's first step frees the converted weights
             params, history = training.train_snn(
                 cfg.network,
-                params,
+                self._load_model(CONVERTED_MODEL),
                 images,
                 self.dataset.train_labels,
                 cfg.snn_train,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .errors import ConfigurationError, ContractViolation, TrainingError, require, require_count
+from .errors import ContractViolation, TrainingError, require, require_count
 from .network import SINGLE_SPIKE, TRAIN, NetworkSpec, TemporalTrace, evaluate, forward
 from .neuron import LayerParams, OutputState, surrogate_grad
 
@@ -157,7 +157,7 @@ def _sweep(
     ``upper[t-1]`` is the adjoint of the operand input of the layer above the
     first one at step t, over ``rows``. Each layer's weight, threshold and
     leak terms are added into ``grads`` as batch sums; returns the last
-    layer's per-step input adjoints. A conv layer's columns go into its
+    layer's per-step input adjoints. A conv layer's columns go into the
     column buffer in ``buffers`` when that is not None.
     """
     stages = trace.spec.stages
@@ -215,7 +215,7 @@ def bptt_hidden_grads(
     steps T..1 before the next block starts. With one block the sums are
     those of a whole-batch pass, bit for bit. With several, a conv stage's
     gradients are summed block after block, which changes their rounding.
-    ``buffers`` (a ``network.Buffers``) holds the conv stages' im2col columns.
+    ``buffers`` (a ``network.Buffers``) holds the column buffer the conv stages share.
     """
     batch = _loss_batch(trace, loss)
     n_hidden = len(params) - 1
@@ -228,7 +228,9 @@ def bptt_hidden_grads(
     upper = _sweep(trace, params, config, sums, range(n_hidden - 1, split - 1, -1), slice(0, batch), upper, buffers)
     for rows in blocks:
         _sweep(trace, params, config, sums, range(split - 1, -1, -1), rows, [d[rows] for d in upper], buffers)
-    return GradientSet(*([g / batch for g in terms] for terms in (sums.weight, sums.threshold, sums.leak)))
+    for g in sums.weight:
+        g /= batch
+    return GradientSet(sums.weight, [g / batch for g in sums.threshold], [g / batch for g in sums.leak])
 
 
 def backward(trace: TemporalTrace, params: list, loss: HybridLossResult, config: TrainConfig, buffers=None) -> GradientSet:
@@ -261,7 +263,7 @@ def optimizer_step(params: list, grads: GradientSet, config: TrainConfig, epoch:
     out = []
     last = len(params) - 1
     for i, p in enumerate(params):
-        w = (p.weights - lr * grads.weight[i]).astype(p.weights.dtype)
+        w = (p.weights - lr * grads.weight[i]).astype(p.weights.dtype, copy=False)
         v = max(p.threshold - lr * config.threshold_lr_scale * grads.threshold[i], config.threshold_floor)
         if i == last:
             leak = p.leak
@@ -296,9 +298,11 @@ def train_snn(
 
     The batches of an epoch share one ``network.Buffers``: each forward pass
     writes its trace and its conv stages' im2col columns into the arrays the
-    previous batch used, and BPTT unfolds into the same columns, so the heap
-    does not shrink and regrow (and fault its pages in again) between
-    batches. The buffers are dropped before the epoch is scored.
+    previous batch used, and BPTT unfolds into the same column buffer, so the
+    heap does not shrink and regrow (and fault its pages in again) between
+    batches. The buffers are dropped before the epoch is scored. The given
+    ``params`` are not kept once the first step has replaced them, nor is a
+    batch's gradient set once its step is taken.
     """
     params = list(params)
     n = len(images)
@@ -317,6 +321,7 @@ def train_snn(
             grads = backward(trace, params, loss, config, buffers)
             del trace  # its records view ``buffers``: the epoch's end frees both
             params = optimizer_step(params, grads, config, epoch)
+            del grads  # not kept through the next batch's forward pass
             losses.append(loss.loss)
         del buffers  # the scoring pass runs without this epoch's training buffers
         history["loss"].append(float(np.mean(losses)))
@@ -326,97 +331,3 @@ def train_snn(
             if not (config.keep_best and history["score"] and scored[0] <= history["score"][0]):
                 history["score"], best = scored, params
     return (best if history["score"] else params), history
-
-
-@dataclass
-class FdProbe:
-    """One finite-difference comparison against the analytic gradient."""
-
-    analytic: float
-    numeric: float
-    rel_error: float
-    boundary: bool
-    component: str
-    index: object
-
-
-def _float64_params(params: list) -> list:
-    return [LayerParams(p.weights.astype(np.float64), p.threshold, p.leak) for p in params]
-
-
-def _float64_encoded(encoded):
-    from .encoding import SpikeInputSequence
-
-    return SpikeInputSequence(
-        mode=encoded.mode,
-        total_timesteps=encoded.total_timesteps,
-        analog_frame=None if encoded.analog_frame is None else encoded.analog_frame.astype(np.float64),
-        spikes=None if encoded.spikes is None else encoded.spikes.astype(np.float64),
-    )
-
-
-def _spike_signature(out: OutputState, trace: TemporalTrace):
-    spikes = tuple(arr.tobytes() for layer in trace.hidden_spikes for arr in layer)
-    return spikes, out.spike_time.tobytes()
-
-
-def _perturbed(params: list, component: str, index, delta: float) -> list:
-    out = [LayerParams(p.weights.copy(), p.threshold, p.leak) for p in params]
-    if component == "weight":
-        layer, flat = index
-        out[layer].weights.flat[flat] += delta
-    elif component == "threshold":
-        out[index] = LayerParams(out[index].weights, out[index].threshold + delta, out[index].leak)
-    elif component == "leak":
-        out[index] = LayerParams(out[index].weights, out[index].threshold, out[index].leak + delta)
-    else:
-        raise ConfigurationError(f"unknown component {component!r}")
-    return out
-
-
-def finite_difference_check(
-    spec: NetworkSpec,
-    params: list,
-    encoded,
-    label_onehot: np.ndarray,
-    component: str,
-    index,
-    eps: float = 1e-4,
-    config: TrainConfig | None = None,
-    neuron_model: str = SINGLE_SPIKE,
-) -> FdProbe:
-    """Central-difference probe of one parameter against the analytic gradient.
-
-    The run is repeated at theta +/- eps; if any spike (hidden trains or
-    output spike times) differs from the base run the probe is flagged as a
-    boundary probe, since the loss is then comparing across a discrete jump.
-    Everything runs in float64 so the difference quotient is clean.
-    """
-    cfg = config or TrainConfig()
-    base_params = _float64_params(params)
-    enc = _float64_encoded(encoded)
-
-    def run(ps):
-        out, trace = forward(
-            spec, ps, enc, mode=TRAIN, rng=np.random.default_rng(0), neuron_model=neuron_model
-        )
-        return hybrid_loss(out, label_onehot), _spike_signature(out, trace), trace
-
-    loss0, sig0, trace0 = run(base_params)
-    grads = backward(trace0, base_params, loss0, cfg)
-    if component == "weight":
-        layer, flat = index
-        analytic = float(grads.weight[layer].flat[flat])
-    elif component == "threshold":
-        analytic = float(grads.threshold[index])
-    else:
-        analytic = float(grads.leak[index])
-
-    loss_hi, sig_hi, _ = run(_perturbed(base_params, component, index, +eps))
-    loss_lo, sig_lo, _ = run(_perturbed(base_params, component, index, -eps))
-    boundary = sig_hi != sig0 or sig_lo != sig0
-
-    numeric = (loss_hi.per_sample.sum() - loss_lo.per_sample.sum()) / (2.0 * eps)
-    numeric /= loss0.per_sample.size  # match the batch-mean convention of the analytic side
-    rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-    return FdProbe(analytic, float(numeric), float(rel), boundary, component, index)

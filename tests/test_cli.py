@@ -505,6 +505,36 @@ class TestExitCodes:
         assert "snn_train.epochs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "edit,phase",
+        [
+            (lambda net: net["layers"].insert(0, {"type": "conv", "out_channels": 10**13, "kernel": 3}), "train-ann"),
+            (lambda net: net.update(total_timesteps=10**13), "train-snn"),
+        ],
+        ids=["out-channels", "total-timesteps"],
+    )
+    def test_a_size_too_large_to_allocate_exits_2_naming_the_phase(self, tiny_root, capsys, edit, phase):
+        # numpy refuses these arrays at once, so nothing is allocated
+        root, paths = tiny_root
+        d = tiny_config(root, paths, "out_huge").to_dict()
+        edit(d["network"])
+        cfg_path = root / "huge.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli.main(["run-all", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"[phase {phase}] cannot allocate" in err and "Unable to allocate" in err
+
+    def test_a_memory_error_outside_a_phase_exits_2(self, tiny_root, capsys, monkeypatch):
+        root, paths = tiny_root
+        cfg_path = write_config(root, tiny_config(root, paths, "out_huge"), "huge_dataset.json")
+
+        def load(cfg):
+            raise MemoryError("a dataset larger than memory")
+
+        monkeypatch.setattr(pipeline, "load_experiment_dataset", load)
+        assert cli.main(["run-all", "--config", cfg_path]) == 2
+        assert "cannot allocate what the config asks for: a dataset larger than memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "section,field,value",
         [
             ("network", "num_classes", "ten"),

@@ -66,7 +66,7 @@ def test_run_synthetic_writes_a_report(monkeypatch, capsys, tmp_path):
     assert report.energy.ratio == printed["energy_ratio"]
 
 
-def test_phase_faults_prints_one_line_per_warm_pipeline(monkeypatch, capsys, tmp_path):
+def test_phase_faults_prints_one_line_per_pipeline(monkeypatch, capsys, tmp_path):
     run_script(monkeypatch, "run_synthetic.py", "--out", str(tmp_path / "run"), *SMALL)
     capsys.readouterr()
     config = tmp_path / "run" / "config.json"
@@ -75,12 +75,15 @@ def test_phase_faults_prints_one_line_per_warm_pipeline(monkeypatch, capsys, tmp
         runpy.run_path(str(SCRIPTS / "phase_faults.py"), run_name="__main__")
     assert done.value.code == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [line["pipeline"] for line in lines] == [2, 3]
-    phases = {"train-ann", "calibrate", "convert", "train-snn", "eval", "profile"}
+    assert [line["pipeline"] for line in lines] == [1, 2, 3]
+    phases = ["train-ann", "calibrate", "convert", "train-snn", "eval", "profile"]
     for line in lines:
-        assert set(line["phases"]) == phases and line["maxrss_mib"] > 0
+        assert list(line["phases"]) == phases and line["maxrss_mib"] > 0
         for measured in line["phases"].values():
             assert measured["wall_s"] >= 0 and isinstance(measured["minor_faults"], int) and measured["minor_faults"] >= 0
+        # a high-water mark: it never falls from phase to phase, and the pipeline's peak is the last phase's
+        peaks = [measured["maxrss_mib"] for measured in line["phases"].values()]
+        assert 0 < peaks[0] and peaks == sorted(peaks) and peaks[-1] <= line["maxrss_mib"]
 
 
 def test_phase_faults_exits_with_the_config_errors_code(monkeypatch, capsys, tmp_path):

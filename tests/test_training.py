@@ -14,7 +14,6 @@ from snnkit.training import (
     TrainConfig,
     backward,
     bptt_hidden_grads,
-    finite_difference_check,
     hybrid_loss,
     lr_at,
     one_hot,
@@ -23,6 +22,7 @@ from snnkit.training import (
     spike_time_threshold_grad,
     train_snn,
 )
+from fd_oracle import finite_difference_check
 from test_time_major_reference import TERMS_RTOL, WEIGHT_GRAD_RTOL, reference_backward, reference_forward
 
 UNIT = IntensityRange(0.0, 1.0)
@@ -365,10 +365,23 @@ class TestEpochBuffers:
         backward(trace, params, hybrid_loss(out, one_hot(np.arange(5) % 3, 3)), TrainConfig(), buffers)
         cols = columns["forward"] + columns["bptt"]
         assert len(columns["forward"]) == len(columns["bptt"]) == 2 * self.T
-        # one buffer per conv stage: every unfold of a stage writes into the same memory
-        for first in cols:
-            same = [np.shares_memory(first, c) for c in cols]
-            assert sum(same) == self.T * 2 and all(same[k] == (c.shape == first.shape) for k, c in enumerate(cols))
+        # both conv stages unfold (two column shapes), and every unfold writes into the same memory
+        assert {c.shape for c in cols} == {c.shape for c in cols[:2]} and cols[0].shape != cols[1].shape
+        assert all(np.shares_memory(cols[0], c) for c in cols)
+
+    @pytest.mark.parametrize("encode", ["hybrid", "direct"])
+    def test_the_conv_stages_keep_one_column_array(self, encode):
+        spec = self.spec()
+        rng = numerics.make_rng(23)
+        params = [LayerParams(rng.normal(0.1, 0.5, s).astype(np.float32), 0.5, 0.9) for s in spec.weight_shapes()]
+        images = rng.random((5,) + spec.input_shape).astype(np.float32)
+        encoded = encode_hybrid(images, UNIT, self.T) if encode == "hybrid" else encode_direct(images, self.T)
+        buffers = network.Buffers()
+        out, trace = forward(spec, params, encoded, mode=TRAIN, rng=numerics.make_rng(0), buffers=buffers)
+        backward(trace, params, hybrid_loss(out, one_hot(np.arange(5) % 3, 3)), TrainConfig(), buffers)
+        kept = list(buffers._flat.values())
+        columns = [a for a in kept if not any(np.shares_memory(a, r) for r in self.records(trace))]
+        assert len(kept) == len(self.records(trace)) + 1 and len(columns) == 1
 
 
 class TestOptimizer:
